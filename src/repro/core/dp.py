@@ -24,8 +24,7 @@ computes the same tables in batched array sweeps.  The fast path
 replicates the reference's floating-point evaluation order and
 tie-breaking exactly, so plans are byte-identical; randomized
 equivalence tests in ``tests/core/test_dp_fastpath.py`` enforce this.
-Set ``REPRO_DSE_FASTPATH=0`` (or run without numpy) to force the
-reference implementations.
+Set ``REPRO_DSE_FASTPATH=0`` to force the reference implementations.
 """
 
 from __future__ import annotations
@@ -35,9 +34,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.dnn.graph import Segment
 from repro.dnn.layers import LAYER_CLASSES
-from repro.fastpath import fastpath_enabled, np
+from repro.fastpath import fastpath_enabled
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
+import numpy as np
+
 from repro.dnn.graph import DNNGraph, Segment
 from repro.dnn.layers import LAYER_CLASSES
 from repro.dnn.tensors import TensorSpec
-from repro.fastpath import fastpath_enabled, np
+from repro.fastpath import fastpath_enabled
 
 
 class PartitionError(ValueError):

@@ -2,11 +2,14 @@
 load.
 
 The paper stops at fixed-interval streams; this experiment drives the
-Fig. 3 middleware -- reproduced as :class:`~repro.serving.OnlineScheduler`
--- with seeded stochastic arrival processes over all four evaluation
-models and reports serving-quality numbers: p50/p95/p99 end-to-end
-latency (measured from *arrival*, so admission queueing counts) and
-SLO attainment, plus the scheduler's co-planning counters.
+Fig. 3 middleware -- the serving dispatcher in its single-leader
+preset, :class:`~repro.serving.OnlineScheduler` (one shard, no
+planning charge, ``min`` load view) -- with seeded stochastic arrival
+processes over all four evaluation models and reports serving-quality
+numbers: p50/p95/p99 end-to-end latency (measured from *arrival*, so
+admission queueing counts) and SLO attainment, plus the scheduler's
+co-planning counters.  The streams carry no priorities, so the preset
+serves them FIFO.
 
 Expected shape: the Poisson and heavy-tailed streams run in a stable
 busy regime (high SLO attainment, single-digit batches); the bursty

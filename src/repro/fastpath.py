@@ -8,7 +8,7 @@ executable specification:
   numpy kernels in :mod:`repro.core.dp`, the vectorized tile pricing in
   :mod:`repro.dnn.partition` and the batched staged local search in
   :mod:`repro.core.local_partitioner` all gate on
-  :func:`fastpath_enabled` (a missing numpy disables them too).
+  :func:`fastpath_enabled`.
 - ``REPRO_SIM_FASTPATH=0`` forces the reference simulation engine path
   (:mod:`repro.sim.engine`) and the seed-style trace/runtime hot paths:
   :func:`sim_fastpath_enabled` is captured per
@@ -24,26 +24,20 @@ from __future__ import annotations
 
 import os
 
-try:  # numpy is optional: every fast path has a pure-Python reference
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via REPRO_DSE_FASTPATH=0
-    np = None
-
 
 def fastpath_enabled() -> bool:
     """Whether the vectorized DSE kernels are active.
 
-    Requires numpy; disable explicitly with ``REPRO_DSE_FASTPATH=0``
-    (checked per call so tests and benches can toggle at runtime).
+    Disable with ``REPRO_DSE_FASTPATH=0`` (checked per call so tests and
+    benches can toggle at runtime).
     """
-    return np is not None and os.environ.get("REPRO_DSE_FASTPATH", "1") != "0"
+    return os.environ.get("REPRO_DSE_FASTPATH", "1") != "0"
 
 
 def sim_fastpath_enabled() -> bool:
     """Whether the optimized simulation-engine path is active.
 
-    Pure Python (no numpy requirement); disable with
-    ``REPRO_SIM_FASTPATH=0``.  Checked when an
+    Disable with ``REPRO_SIM_FASTPATH=0``.  Checked when an
     :class:`~repro.sim.engine.Environment` is created, so one
     simulation run never mixes paths.
     """

@@ -53,10 +53,10 @@ Who detects, who retries, who sheds:
   already running finishes and is charged (partial work is real work);
   every resource hold is released on the way out, so no busy interval
   is orphaned and no grant leaks.
-- The **scheduler** retries.  ``OnlineScheduler`` / ``ShardedScheduler``
-  catch the failure, charge an exponential backoff
-  (:meth:`RetryPolicy.backoff_s`) as queue delay, and re-admit the
-  request through the normal dispatcher path, where planning against
+- The **scheduler** retries.  ``ShardedScheduler`` (and its one-shard
+  ``OnlineScheduler`` preset) catches the failure, charges an
+  exponential backoff (:meth:`RetryPolicy.backoff_s`) as queue delay,
+  and re-admits the request through the normal dispatcher path, where planning against
   the current :meth:`~repro.platform.cluster.Cluster.availability_signature`
   (the plan-cache key) yields a plan that avoids the lost device.
 - The **policy** sheds.  Past ``max_retries``, or past the

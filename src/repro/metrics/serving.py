@@ -409,7 +409,7 @@ def result_fingerprint(result) -> str:
     with exact ``repr`` round-tripping, so two results digest equal iff
     their schedules are byte-identical.  Used by the checkpoint/resume
     pins (cross-hatch matrix, ``benchmarks/test_bench_engine.py``): a
-    resumed :class:`~repro.serving.scheduler.ServingResult` must digest
+    resumed :class:`~repro.serving.result.ServingResult` must digest
     equal to the uninterrupted run's.
     """
     import hashlib

@@ -7,13 +7,13 @@ and hands distribution decisions to the communication module.  The
 evaluation scenarios only ever exercise it with four-model staircases
 (Fig. 6) and fixed-interval streams (Fig. 7); this package is that
 middleware grown into an online serving layer for open-loop concurrent
-traffic, in two tiers:
+traffic.  It has one dispatcher,
+:class:`~repro.serving.sharded.ShardedScheduler`:
 
-:class:`~repro.serving.scheduler.OnlineScheduler` -- the single-leader
-control loop (one dispatcher, one admission queue):
-
-- an **admission queue** buffers arrivals while the cluster is busy
-  (application module -> scheduler hand-off in Fig. 3);
+- per-shard **admission queues** buffer arrivals while the cluster is
+  busy (application module -> scheduler hand-off in Fig. 3), spread
+  over ``num_shards`` leader dispatchers by hash or model affinity,
+  with idle shards woken by work stealing;
 - backlogs are **co-planned in one pass**
   (:meth:`~repro.core.hidp.HiDPStrategy.plan_batch`): every distinct
   model in the backlog prices its candidate depth cuts through a single
@@ -23,27 +23,27 @@ control loop (one dispatcher, one admission queue):
   plan assumed, the remaining tail of the batch is re-co-planned in one
   pass under the fresh snapshot (the Fig. 4 leader FSM re-entering
   ``explore`` when cluster status changes);
-- a bounded **in-flight window** applies backpressure, so the admission
-  queue -- not the simulated hardware -- absorbs overload.
+- a bounded, priority-aware **in-flight window**
+  (:class:`~repro.sim.resources.PriorityResource`: urgent-first grants,
+  FIFO within a class, cooperative preemption of in-flight work at plan
+  segment boundaries) applies backpressure, so the admission queues --
+  not the simulated hardware -- absorb overload;
+- per-station *weighted* load snapshots (``load_view="weighted"``) let
+  drift detection see congestion while a minor core idles, and
+  measured-bucket **planning overhead** is charged on the leader's
+  scheduler CPU, making DSE cost visible to serving latency (the
+  paper's ~15 ms bound) instead of planning for free.
 
-:class:`~repro.serving.sharded.ShardedScheduler` -- the scale-out tier:
-the same control loop sharded across ``num_shards`` leader dispatchers
-with per-shard admission queues (hash or model-affinity partitioning,
-idle shards woken by work stealing), priority-aware in-flight slots
-(:class:`~repro.sim.resources.PriorityResource`: urgent-first grants,
-FIFO within a class, cooperative preemption of in-flight work at plan
-segment boundaries), per-station *weighted* load snapshots
-(``load_view="weighted"``) so drift detection sees congestion even
-while a minor core idles, and measured-bucket **planning overhead**
-charged on the leader's scheduler CPU, making DSE cost visible to
-serving latency (the paper's ~15 ms bound) instead of planning for
-free.  Configured down to one shard with charging off and the ``min``
-load view, it reproduces the single-leader scheduler's event schedule
-exactly.
+:class:`~repro.serving.sharded.OnlineScheduler` is its one-shard preset
+(``num_shards=1``, planning charging off, the ``min`` load view): the
+single-leader control loop, with the same constructor it always had.
+On a priority-free stream it serves FIFO; a stream that carries
+priorities gets urgent-first slot grants and preemption.
 
-Both return a :class:`~repro.serving.scheduler.ServingResult` with
+Every run returns a :class:`~repro.serving.result.ServingResult` with
 latency percentiles (overall and per priority class), SLO attainment,
-wall + steady-state throughput, and scheduler counters.
+wall + steady-state throughput, and scheduler counters whose ledger
+the scheduler reconciles before returning.
 
 Physical leaders (ISSUE 5): the :class:`ShardedScheduler` additionally
 accepts ``leader_policy="distributed"``, pinning a *physical* leader
@@ -59,7 +59,7 @@ the default ``"shared"`` policy keeps every legacy schedule
 byte-identical, pinned by the cross-hatch matrix in
 ``tests/integration/test_hatch_matrix.py``.
 
-Hostile conditions (ISSUE 6): both schedulers accept
+Hostile conditions (ISSUE 6): the scheduler accepts
 ``faults=PerturbationProcess(...)`` (seeded device churn, transient
 link degradation, DVFS throttling -- :mod:`repro.faults`) and
 ``retry=RetryPolicy(...)``.  Mid-plan device loss surfaces from the
@@ -69,7 +69,7 @@ exponential backoff as queue delay and re-admits through the normal
 dispatcher path (planning against the fresh availability signature
 avoids the lost device), sheds past ``max_retries`` or over the
 pressure threshold, and accounts for everything in
-:class:`~repro.serving.scheduler.ServingResult` (``failures ==
+:class:`~repro.serving.result.ServingResult` (``failures ==
 retries + shed``; every request completes once XOR is shed).  A
 zero-event process leaves every schedule byte-identical -- the fault
 dimension of the cross-hatch matrix.
@@ -96,10 +96,10 @@ every shard's physical leader at each epoch boundary under the live
 load snapshot
 (:meth:`~repro.platform.cluster.Cluster.reelect_shard_leaders`).
 Routing decisions, spills, cold placements and epoch/re-election
-history land in :class:`~repro.serving.scheduler.ServingResult` via
+history land in :class:`~repro.serving.result.ServingResult` via
 :class:`~repro.metrics.serving.RoutingStats`.
 
-Self-protecting serving (ISSUE 9): both schedulers accept
+Self-protecting serving (ISSUE 9): the scheduler accepts
 ``control=ControlPolicy(...)`` (:mod:`repro.serving.control`), arming a
 deterministic SLO-driven control plane.  A
 :class:`~repro.serving.control.Controller` wakes every ``interval_s``
@@ -137,7 +137,7 @@ planned, permanent departure.  Retry backoff gains seeded
 deterministic jitter (``RetryPolicy(jitter=...)``) to de-stampede
 correlated-failure re-admissions.
 
-Large-scale streams (ISSUE 4): both schedulers accept
+Large-scale streams (ISSUE 4): the scheduler accepts
 ``trace_level="aggregate"`` to record O(1) streaming trace aggregates
 (running busy totals, completion/byte counters) instead of
 materialising every busy interval, FLOPs completion, transfer and FSM
@@ -180,12 +180,7 @@ from repro.serving.routing import (
     Router,
     resolve_router,
 )
-from repro.serving.scheduler import (
-    OnlineScheduler,
-    RunCheckpoint,
-    ServedRequest,
-    ServingResult,
-)
+from repro.serving.result import RunCheckpoint, ServedRequest, ServingResult
 from repro.serving.sharded import (
     ASSIGN_HASH,
     ASSIGN_MODEL,
@@ -194,6 +189,7 @@ from repro.serving.sharded import (
     LEADERS_SHARED,
     PLANNING_BUCKET,
     PLANNING_OFF,
+    OnlineScheduler,
     ShardedScheduler,
 )
 from repro.serving.specialize import ShardSpecializer, SpecializationPlan

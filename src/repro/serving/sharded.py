@@ -1,16 +1,19 @@
-"""Sharded multi-leader serving: priorities, preemption, work stealing.
+"""The serving dispatcher: sharding, priorities, preemption, work stealing.
 
-:class:`ShardedScheduler` scales the single-leader
-:class:`~repro.serving.scheduler.OnlineScheduler` control loop out to
-``num_shards`` leader dispatchers.  Arrivals are partitioned across
-per-shard admission queues (``hash`` spreads request ids round-robin;
-``model`` pins each model to one shard so a shard's plan cache and
-batched DSE sweeps stay hot for its models).  Every dispatcher runs the
-same loop -- drain a backlog batch, charge planning overhead on the
-leader's scheduler CPU, co-plan in one pass, dispatch through the
-shared in-flight window -- so shards pipeline planning against each
-other's execution instead of serialising the whole stream behind one
-dispatcher.
+:class:`ShardedScheduler` is the repo's one run-time scheduler (the
+paper's Fig. 3 middleware): it drives an open-loop request stream
+through ``num_shards`` leader dispatchers.  Arrivals are partitioned
+across per-shard admission queues (``hash`` spreads request ids
+round-robin; ``model`` pins each model to one shard so a shard's plan
+cache and batched DSE sweeps stay hot for its models).  Every
+dispatcher runs the same loop -- drain a backlog batch, charge planning
+overhead on the leader's scheduler CPU, co-plan in one pass, dispatch
+through the shared in-flight window, re-co-plan the remaining tail when
+the load snapshot drifts past the batch's bucket -- so shards pipeline
+planning against each other's execution instead of serialising the
+whole stream behind one dispatcher.  :class:`OnlineScheduler` is the
+one-shard preset of the same loop (planning charging off, ``min`` load
+view).
 
 Scheduling policy on top of the sharding:
 
@@ -76,18 +79,15 @@ legitimately do.  ``tests/integration/test_hatch_matrix.py`` (the
 inside every configuration, so fast-path work cannot silently fork
 behaviour in an untested corner.
 
-With ``num_shards=1``, no priority spread in the stream,
-``planning_overhead="off"`` and ``load_view="min"``, the event schedule
-degenerates to exactly the single-leader scheduler's (and with one
-shard the ``distributed`` leader policy elects ``devices[0]``, so the
-leader-equivalence pin extends the same degeneracy).  The dispatcher
-loop here deliberately does *not* share code with
-:class:`~repro.serving.scheduler.OnlineScheduler`: like the ``*_reference``
-DP kernels, the single-leader scheduler is kept as an independent
-executable spec, and the equivalence tests in
-``tests/serving/test_sharded.py`` only have teeth because the two
-implementations are independent.  A dispatcher bugfix must land in
-both loops (the drift tail re-co-plan fix below is one such).
+Ledger: ``run`` rejects duplicate request ids up front, and
+``finish()`` checks the per-shard dispatch reconciliation and
+``failures == retries + shed`` before returning, raising
+:class:`AccountingError` when a counter disagrees.
+
+The executable spec for the one-shard preset is an independent
+fault-free FIFO single-leader loop, ``tests/serving/fifo_oracle.py``;
+the equivalence tests in ``tests/serving/test_sharded.py`` pin this
+dispatcher to it on priority-free streams.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ from repro.serving.control import (
     ControlPolicy,
 )
 from repro.serving.routing import ClusteredRouter, resolve_router
-from repro.serving.scheduler import (
+from repro.serving.result import (
     RunCheckpoint,
     ServedRequest,
     ServingResult,
@@ -126,7 +126,7 @@ from repro.serving.scheduler import (
 )
 from repro.serving.specialize import ShardSpecializer
 from repro.sim.resources import PriorityResource, Store
-from repro.sim.runtime import LOAD_VIEW_WEIGHTED, LOAD_VIEWS, SimRuntime
+from repro.sim.runtime import LOAD_VIEW_MIN, LOAD_VIEW_WEIGHTED, LOAD_VIEWS, SimRuntime
 from repro.sim.trace import TRACE_FULL, check_trace_level
 from repro.workloads.requests import InferenceRequest
 
@@ -145,6 +145,31 @@ LEADERS_SHARED = "shared"
 LEADERS_DISTRIBUTED = "distributed"
 LEADERS_EPOCH = "epoch"
 LEADER_MODES = (LEADERS_SHARED, LEADERS_DISTRIBUTED, LEADERS_EPOCH)
+
+
+class AccountingError(RuntimeError):
+    """A finished run's ledger does not reconcile (or never settled)."""
+
+
+def _reconcile(result: ServingResult) -> None:
+    """Check the ledger identities every finished run satisfies, O(shards)."""
+    for shard, dispatched in enumerate(result.dispatched_by_shard):
+        expected = (
+            result.admitted_by_shard[shard]
+            + result.readmitted_by_shard[shard]
+            + result.stolen_in_by_shard[shard]
+            - result.stolen_out_by_shard[shard]
+        )
+        if dispatched != expected:
+            raise AccountingError(
+                f"shard {shard} dispatched {dispatched} requests but admitted "
+                f"+ readmitted + stolen_in - stolen_out = {expected}"
+            )
+    if result.failures != result.retries + result.shed:
+        raise AccountingError(
+            f"{result.failures} failures != {result.retries} retries "
+            f"+ {result.shed} shed"
+        )
 
 
 class ShardedScheduler:
@@ -287,12 +312,19 @@ class ShardedScheduler:
 
         ``checkpoint_at_s`` pauses the event loop once the clock
         reaches that simulated time and returns a
-        :class:`~repro.serving.scheduler.RunCheckpoint` instead;
+        :class:`~repro.serving.result.RunCheckpoint` instead;
         ``resume()`` on the handle drains the rest of the run to a
         byte-identical result.
         """
         if not requests:
             raise ValueError("no requests to serve")
+        # Every per-request ledger (attempts, failures, segments, shed
+        # and rejected ids) keys on the id, so ids must be unique.
+        seen = set()
+        for request in requests:
+            if request.request_id in seen:
+                raise ValueError(f"duplicate request_id {request.request_id}")
+            seen.add(request.request_id)
         ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
         runtime = SimRuntime(self.cluster, trace_level=self.trace_level)
         leaders = self.shard_leaders()
@@ -672,8 +704,8 @@ class ShardedScheduler:
                     if drifted:
                         # Drifted past the batch's bucket: re-co-plan
                         # the remaining tail in one pass and adopt the
-                        # fresh bucket (same fix as the single-leader
-                        # dispatcher).
+                        # fresh bucket, so one drift does not degrade
+                        # the rest of the batch to per-request planning.
                         tail = graphs[index:]
                         recharge = self._planning_charge_s(
                             tail, current, leader=leader, partition=partition
@@ -786,7 +818,7 @@ class ShardedScheduler:
             env.run()
             settled = len(served) + len(shed_ids) + len(rejected_ids)
             if settled != len(ordered):
-                raise RuntimeError(
+                raise AccountingError(
                     f"{len(ordered) - settled} requests never completed (deadlock?)"
                 )
             served.sort(key=lambda record: record.request.request_id)
@@ -794,7 +826,9 @@ class ShardedScheduler:
             energy_by_device = cluster_energy_j(
                 self.cluster, runtime.busy, (0.0, makespan)
             )
-            return build_result(makespan, energy_by_device)
+            result = build_result(makespan, energy_by_device)
+            _reconcile(result)
+            return result
 
         def build_result(makespan, energy_by_device) -> ServingResult:
             return ServingResult(
@@ -856,3 +890,49 @@ class ShardedScheduler:
                 segments=dict(segments),
             )
         return finish()
+
+
+class OnlineScheduler(ShardedScheduler):
+    """The single-leader preset: one shard, no planning charge, ``min``
+    load view.
+
+    One dispatcher drains the admission queue into backlog batches (up
+    to ``max_batch``), co-plans each batch in one pass, and dispatches
+    through a ``max_inflight`` backpressure window, re-co-planning the
+    batch tail on load drift.  Latency is measured from arrival, so
+    admission queueing counts against the SLO.  Streams that carry
+    priorities get urgent-first slot grants, priority-sorted batches
+    and cooperative preemption; priority-free streams are served FIFO.
+
+    ``faults``, ``retry``, ``router`` and ``control`` behave as on
+    :class:`ShardedScheduler`; the leader (``devices[0]``) is protected
+    from churn, and with one shard the elastic-shard actuator has
+    nothing to scale.
+    """
+
+    def __init__(
+        self,
+        cluster: Optional[Cluster] = None,
+        strategy: Optional[Strategy] = None,
+        max_batch: int = 16,
+        max_inflight: int = 4,
+        trace_level: str = TRACE_FULL,
+        faults: Optional[PerturbationProcess] = None,
+        retry: Optional[RetryPolicy] = None,
+        router=None,
+        control: Optional[ControlPolicy] = None,
+    ):
+        super().__init__(
+            cluster=cluster,
+            strategy=strategy,
+            num_shards=1,
+            max_batch=max_batch,
+            max_inflight=max_inflight,
+            load_view=LOAD_VIEW_MIN,
+            planning_overhead=PLANNING_OFF,
+            trace_level=trace_level,
+            faults=faults,
+            retry=retry,
+            router=router,
+            control=control,
+        )

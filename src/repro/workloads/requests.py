@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple
 
@@ -27,6 +28,10 @@ class InferenceRequest:
     priority: int = PRIORITY_NORMAL
 
     def __post_init__(self) -> None:
+        # NaN slips past ``< 0`` and would poison every percentile of
+        # the run; an infinite arrival would crash the source process.
+        if not math.isfinite(self.arrival_s):
+            raise ValueError(f"non-finite arrival time: {self.arrival_s}")
         if self.arrival_s < 0:
             raise ValueError(f"negative arrival time: {self.arrival_s}")
         if self.request_id < 0:

@@ -209,7 +209,7 @@ def test_sharded_hatch_grid_schedule_identical(
 
 
 def test_online_scheduler_hatch_grid_schedule_identical(monkeypatch):
-    """The single-leader control loop rides the same hatches."""
+    """The one-shard preset (``OnlineScheduler``) rides the same hatches."""
     requests = _stream()
     reference = None
     for sim_fast, dse_fast, trace_level in HATCH_GRID:
@@ -242,7 +242,8 @@ def _fault_stream():
 def _run_scheduler(
     scheduler, requests, trace_level="full", faults=None, retry=None, control=None
 ):
-    """One pinned run of either scheduler tier, optionally under faults."""
+    """One pinned run of the one-shard preset or a two-shard config,
+    optionally under faults."""
     kwargs = {"cluster": _cluster(), "max_inflight": 3, "trace_level": trace_level}
     if faults is not None:
         kwargs["faults"] = faults

@@ -387,17 +387,11 @@ class TestBreakerTeeth:
                 )
 
     def test_chaos_reconciliation_with_breakers(self):
+        # ``run`` itself checks the per-shard dispatch balance and
+        # ``failures == retries + shed``.
         result = self._churn_run()
-        assert result.failures == result.retries + result.shed
         assert result.count + result.shed + result.rejected == 20
         result.busy.assert_no_overlaps()
-        for shard in range(2):
-            assert result.dispatched_by_shard[shard] == (
-                result.admitted_by_shard[shard]
-                + result.readmitted_by_shard[shard]
-                + result.stolen_in_by_shard[shard]
-                - result.stolen_out_by_shard[shard]
-            )
 
 
 class TestElasticShards:
@@ -423,7 +417,8 @@ class TestElasticShards:
 
     def test_merge_drains_queue_without_stranding(self):
         """Scaling down with queued work moves it to the survivors via
-        the steal ledger -- the reconciliation stays exact."""
+        the steal ledger -- the reconciliation ``run`` checks stays
+        exact."""
         requests = bursty_stream(
             MODELS, burst_size=10, num_bursts=2, mean_gap_s=3.0, seed=13
         )
@@ -437,12 +432,6 @@ class TestElasticShards:
         ).run(requests)
         assert result.control.shards_merged > 0
         assert result.count == len(requests)
-        for shard in range(2):
-            assert result.dispatched_by_shard[shard] == (
-                result.admitted_by_shard[shard]
-                + result.stolen_in_by_shard[shard]
-                - result.stolen_out_by_shard[shard]
-            )
 
 
 class TestDeterminismAndPins:

@@ -321,17 +321,11 @@ class TestSchedulerRecovery:
             faults=_churny(),
             retry=RetryPolicy(max_retries=3),
         ).run(requests)
+        # ``run`` checks the per-shard dispatch balance and
+        # ``failures == retries + shed`` before returning.
         assert result.failures > 0
-        assert result.failures == result.retries + result.shed
         assert result.count + result.shed == 30
         assert sum(result.readmitted_by_shard) == result.retries
-        for shard in range(2):
-            assert result.dispatched_by_shard[shard] == (
-                result.admitted_by_shard[shard]
-                + result.readmitted_by_shard[shard]
-                + result.stolen_in_by_shard[shard]
-                - result.stolen_out_by_shard[shard]
-            )
         result.busy.assert_no_overlaps()
 
 

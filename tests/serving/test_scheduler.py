@@ -1,7 +1,8 @@
 """Online scheduler tests: admission, batching, backpressure, drift
-replanning, determinism."""
+replanning, priorities, determinism."""
 
 import pytest
+from fifo_oracle import assert_matches_oracle, run_fifo_oracle
 
 from repro.baselines.modnn import MoDNNStrategy
 from repro.core.hidp import HiDPStrategy
@@ -137,6 +138,8 @@ class TestReplanning:
         assert result.replans == 1
         assert [record.replanned for record in result.served] == [False, False, True, True]
         result.busy.assert_no_overlaps()
+        oracle = run_fifo_oracle(self._single_proc_cluster(), requests, max_inflight=2)
+        assert_matches_oracle(result, oracle)
 
     def test_load_unaware_strategy_never_replans(self):
         requests = [
@@ -148,6 +151,28 @@ class TestReplanning:
         ).run(requests)
         assert result.count == 6
         assert result.replans == 0
+
+
+class TestPriorities:
+    def test_late_urgent_request_overtakes_queued_work(self):
+        """The one-shard preset honours priorities: an urgent request
+        arriving behind a backlog of normal work preempts the normal
+        slot holder at a plan-segment boundary and finishes first.  The
+        FIFO single-leader loop serves it last."""
+        requests = [
+            InferenceRequest(request_id=idx, model="resnet152", arrival_s=0.0, priority=1)
+            for idx in range(4)
+        ]
+        requests.append(
+            InferenceRequest(request_id=4, model="tiny_cnn", arrival_s=0.05, priority=0)
+        )
+        result = OnlineScheduler(cluster=_small_cluster(), max_inflight=1).run(requests)
+        done = {record.request.request_id: record.completed_s for record in result.served}
+        assert result.preemptions == 1
+        assert done[4] < done[3]
+        fifo = run_fifo_oracle(_small_cluster(), requests, max_inflight=1)
+        fifo_done = {record.request.request_id: record.completed_s for record in fifo.served}
+        assert max(fifo_done, key=fifo_done.get) == 4
 
 
 class TestThroughputAccounting:

@@ -9,23 +9,22 @@ run the structural invariants must hold:
 - every admitted request completes exactly once;
 - the capacity-1 no-overlap invariant holds on all stations;
 - per-shard steal/donation counters reconcile with queue totals:
-  ``dispatched[i] == admitted[i] + stolen_in[i] - stolen_out[i]``,
-  admissions partition the stream, and total steals equal the moved
-  items.
+  admissions partition the stream and total steals equal the moved
+  items (the per-shard dispatch balance itself is checked inside
+  ``run``, which raises ``AccountingError`` when it fails).
 
 The ``chaos``-marked trials re-run the same property under seeded fault
 injection with a random retry/degradation policy: exactly-once relaxes
 to *completes once XOR is shed*, and the failure counters must
-reconcile exactly (``failures == retries + shed``, re-admissions join
-the per-shard dispatch balance).
+reconcile exactly (``failures == retries + shed`` is checked inside
+``run``; re-admissions join the dispatch total).
 
 The controller trials (ISSUE 9) put a randomly drawn
 :class:`ControlPolicy` on top of the churn draws: the door may now
 reject or downgrade arrivals, breakers may freeze and restore shards,
 and AIMD may resize the inflight window mid-stream -- yet the same
 ledger must reconcile with ``rejected`` as a third terminal bucket
-(served, shed and rejected ids partition the stream) and
-``failures == retries + shed`` untouched by control actions.
+(served, shed and rejected ids partition the stream).
 
 The draws are seeded, so a failure reproduces deterministically from
 the printed trial seed.
@@ -196,12 +195,6 @@ def test_randomized_serving_invariants(trial):
     assert sum(result.dispatched_by_shard) == len(requests), context
     assert sum(result.stolen_in_by_shard) == sum(result.stolen_out_by_shard), context
     assert sum(result.stolen_in_by_shard) == result.steals, context
-    for shard in range(shards):
-        assert result.dispatched_by_shard[shard] == (
-            result.admitted_by_shard[shard]
-            + result.stolen_in_by_shard[shard]
-            - result.stolen_out_by_shard[shard]
-        ), f"{context} shard={shard}"
 
     # Leader bookkeeping matches the policy.
     assert len(result.leader_devices) == shards, context
@@ -248,7 +241,6 @@ def test_randomized_churn_invariants(trial):
     result.busy.assert_no_overlaps()
 
     # Failure accounting reconciles exactly.
-    assert result.failures == result.retries + result.shed, context
     assert len(shed_ids) == result.shed, context
     assert sum(result.readmitted_by_shard) == result.retries, context
     trace = result.faults
@@ -260,16 +252,8 @@ def test_randomized_churn_invariants(trial):
     # burned retries before giving up.
     assert result.retries >= sum(record.attempts - 1 for record in result.served), context
 
-    # Re-admissions join the per-shard dispatch balance.
-    shards = scheduler.num_shards
+    # Re-admissions join the dispatch total.
     assert sum(result.admitted_by_shard) == len(requests), context
-    for shard in range(shards):
-        assert result.dispatched_by_shard[shard] == (
-            result.admitted_by_shard[shard]
-            + result.readmitted_by_shard[shard]
-            + result.stolen_in_by_shard[shard]
-            - result.stolen_out_by_shard[shard]
-        ), f"{context} shard={shard}"
     assert sum(result.dispatched_by_shard) == (
         result.count + result.shed + result.retries
     ), context
@@ -330,7 +314,6 @@ def test_randomized_control_churn_invariants(trial):
     result.busy.assert_no_overlaps()
 
     # Failure accounting is untouched by control actions.
-    assert result.failures == result.retries + result.shed, context
     assert result.faults is not None and result.faults.failures == result.failures, context
 
     # The control trace reconciles with the result's terminal buckets.
@@ -350,15 +333,8 @@ def test_randomized_control_churn_invariants(trial):
 
     # Door rejections never reach a shard: admissions cover exactly the
     # non-rejected prefix of the ledger, and re-admissions still join
-    # the per-shard dispatch balance.
+    # the dispatch total.
     assert sum(result.admitted_by_shard) == len(requests) - result.rejected, context
-    for shard in range(scheduler.num_shards):
-        assert result.dispatched_by_shard[shard] == (
-            result.admitted_by_shard[shard]
-            + result.readmitted_by_shard[shard]
-            + result.stolen_in_by_shard[shard]
-            - result.stolen_out_by_shard[shard]
-        ), f"{context} shard={shard}"
     assert sum(result.dispatched_by_shard) == (
         result.count + result.shed + result.retries
     ), context

@@ -1,7 +1,9 @@
-"""Sharded scheduler tests: legacy equivalence, shard partitioning,
-work stealing, priorities, preemption, planning-overhead charging."""
+"""Sharded scheduler tests: oracle equivalence, shard partitioning,
+work stealing, priorities, preemption, planning-overhead charging,
+ledger checks."""
 
 import pytest
+from fifo_oracle import assert_matches_oracle, run_fifo_oracle
 
 from repro.core.hidp import HiDPStrategy
 from repro.dnn.models import MODEL_NAMES
@@ -12,8 +14,11 @@ from repro.serving import (
     LEADERS_SHARED,
     PLANNING_OFF,
     OnlineScheduler,
+    ServingResult,
     ShardedScheduler,
+    sharded,
 )
+from repro.serving.sharded import AccountingError
 from repro.workloads.arrivals import bursty_stream, poisson_stream
 from repro.workloads.requests import InferenceRequest
 
@@ -30,73 +35,49 @@ def _timeline(result):
 
 
 class TestLegacyEquivalence:
-    """The ISSUE 3 acceptance bar: one shard, no priorities, planning
-    charging off and the min load view reproduce the single-leader
-    scheduler's event schedule exactly."""
-
-    def _legacy(self, **kwargs):
-        return ShardedScheduler(
-            cluster=_small_cluster(),
-            num_shards=1,
-            planning_overhead=PLANNING_OFF,
-            load_view="min",
-            **kwargs,
-        )
+    """The one-shard preset (``OnlineScheduler``: one shard, planning
+    charging off, the ``min`` load view) reproduces the independent
+    FIFO oracle's event schedule exactly on priority-free streams."""
 
     def test_poisson_stream_byte_identical(self):
         requests = poisson_stream(MODEL_NAMES[:2], 4.0, 15, seed=42)
-        base = OnlineScheduler(cluster=_small_cluster()).run(requests)
-        sharded = self._legacy().run(requests)
-        assert _timeline(base) == _timeline(sharded)
-        assert base.batches == sharded.batches
-        assert base.replans == sharded.replans
-        assert base.max_batch_observed == sharded.max_batch_observed
+        result = OnlineScheduler(cluster=_small_cluster()).run(requests)
+        assert_matches_oracle(result, run_fifo_oracle(_small_cluster(), requests))
 
     def test_simultaneous_burst_byte_identical(self):
         requests = [
             InferenceRequest(request_id=idx, model="resnet152", arrival_s=0.0)
             for idx in range(5)
         ]
-        base = OnlineScheduler(cluster=_small_cluster(), max_inflight=2).run(requests)
-        sharded = self._legacy(max_inflight=2).run(requests)
-        assert _timeline(base) == _timeline(sharded)
+        result = OnlineScheduler(cluster=_small_cluster(), max_inflight=2).run(requests)
+        oracle = run_fifo_oracle(_small_cluster(), requests, max_inflight=2)
+        assert_matches_oracle(result, oracle)
 
     def test_legacy_mode_charges_nothing(self):
         requests = poisson_stream(("tiny_cnn",), 5.0, 6, seed=1)
-        result = self._legacy().run(requests)
+        result = OnlineScheduler(cluster=_small_cluster()).run(requests)
         assert result.planning_charged_s == 0.0
         assert result.steals == 0
         assert result.preemptions == 0
 
 
 class TestLeaderEquivalencePin:
-    """The ISSUE 5 pin, extending the PR 3 degeneracy: per-shard-leader
-    mode with one shard elects ``devices[0]``, so the legacy
-    configuration reproduces the single-leader scheduler's event
-    schedule byte-identically even with distributed leaders on."""
+    """Per-shard-leader mode with one shard elects ``devices[0]``, so
+    the one-shard configuration still reproduces the single-leader FIFO
+    oracle's event schedule byte-identically with distributed leaders
+    on."""
 
-    def _distributed_legacy(self, **kwargs):
-        return ShardedScheduler(
+    def test_one_shard_distributed_matches_online_scheduler(self):
+        requests = poisson_stream(MODEL_NAMES[:2], 4.0, 15, seed=42)
+        pinned = ShardedScheduler(
             cluster=_small_cluster(),
             num_shards=1,
             planning_overhead=PLANNING_OFF,
             load_view="min",
             leader_policy=LEADERS_DISTRIBUTED,
-            **kwargs,
-        )
-
-    def test_one_shard_distributed_matches_online_scheduler(self):
-        requests = poisson_stream(MODEL_NAMES[:2], 4.0, 15, seed=42)
-        base = OnlineScheduler(cluster=_small_cluster()).run(requests)
-        pinned = self._distributed_legacy().run(requests)
+        ).run(requests)
         assert pinned.leader_devices == ("jetson_tx2",)
-        assert _timeline(base) == _timeline(pinned)
-        assert base.batches == pinned.batches
-        assert base.replans == pinned.replans
-        assert base.max_batch_observed == pinned.max_batch_observed
-        assert base.makespan_s == pinned.makespan_s
-        assert base.energy_j == pytest.approx(pinned.energy_j)
-        assert base.network_bytes == pinned.network_bytes
+        assert_matches_oracle(pinned, run_fifo_oracle(_small_cluster(), requests))
 
     def test_one_shard_distributed_matches_shared(self):
         requests = bursty_stream(
@@ -492,3 +473,37 @@ class TestEngineFastpathServing:
         assert fast.sim_events == reference.sim_events
         assert fast.makespan_s == reference.makespan_s
         assert fast.energy_j == pytest.approx(reference.energy_j)
+
+
+class TestLedger:
+    """Boundary and ledger checks inside ``run`` / ``finish()``."""
+
+    def test_duplicate_request_ids_rejected(self):
+        requests = [
+            InferenceRequest(request_id=3, model="tiny_cnn", arrival_s=0.0),
+            InferenceRequest(request_id=5, model="tiny_cnn", arrival_s=0.1),
+            InferenceRequest(request_id=3, model="tiny_cnn", arrival_s=0.2),
+        ]
+        with pytest.raises(ValueError, match="duplicate request_id 3"):
+            ShardedScheduler(cluster=_small_cluster()).run(requests)
+
+    @pytest.mark.parametrize(
+        "counter, message",
+        [("dispatched_by_shard", "shard 0 dispatched"), ("retries", "failures")],
+    )
+    def test_tampered_counter_raises_accounting_error(
+        self, monkeypatch, counter, message
+    ):
+        def tampered(**fields):
+            value = fields[counter]
+            if isinstance(value, tuple):
+                fields[counter] = (value[0] + 1,) + value[1:]
+            else:
+                fields[counter] = value + 1
+            return ServingResult(**fields)
+
+        monkeypatch.setattr(sharded, "ServingResult", tampered)
+        requests = poisson_stream(("tiny_cnn",), 5.0, 4, seed=1)
+        with pytest.raises(AccountingError, match=message):
+            OnlineScheduler(cluster=_small_cluster()).run(requests)
+        assert issubclass(AccountingError, RuntimeError)

@@ -41,6 +41,16 @@ class TestRequests:
         with pytest.raises(ValueError):
             InferenceRequest(0, "m", 0.0, priority=-1)
 
+    def test_nan_arrival_rejected(self):
+        # NaN passes ``< 0`` and would turn every latency percentile NaN.
+        with pytest.raises(ValueError, match="non-finite arrival"):
+            InferenceRequest(0, "m", float("nan"))
+
+    def test_infinite_arrival_rejected(self):
+        # An infinite arrival would crash the scheduler's source process.
+        with pytest.raises(ValueError, match="non-finite arrival"):
+            InferenceRequest(0, "m", float("inf"))
+
     def test_priority_defaults_to_normal(self):
         request = InferenceRequest(0, "m", 0.0)
         assert request.priority == 0
