@@ -11,18 +11,20 @@ Two sections, same old-vs-new methodology as ``BENCH_dse.json``:
 
 1. **Pinned-schedule equivalence.**  The stream runs once per
    configuration -- reference paths (``REPRO_SIM_FASTPATH=0`` +
-   ``REPRO_DSE_FASTPATH=0``, the seed engine and pure-Python DSE with
-   full traces) and fast paths (optimized engine + batched staged
-   search), plus a fast run with ``trace_level="aggregate"``.  All
-   three must produce byte-identical schedules: same per-request
-   dispatch/completion times, same scheduled-event count, same busy
-   intervals (full-trace runs compared interval by interval), same
-   energy/FLOPs/byte totals.  Identical timelines under identical
-   workloads means identical *plans* too -- a diverging staged search
-   or DP kernel would shift every downstream timestamp.
+   ``REPRO_DSE_FASTPATH=0``: the reference engine drain with every
+   memo store off, and the pure-Python DSE, with full traces) and fast
+   paths (optimized engine + batched staged search), plus a fast run
+   with ``trace_level="aggregate"``.  All three must produce
+   byte-identical schedules: same per-request dispatch/completion
+   times, same scheduled-event count, same busy intervals (full-trace
+   runs compared interval by interval), same energy/FLOPs/byte totals.
+   Identical timelines under identical workloads means identical
+   *plans* too -- a diverging staged search or DP kernel would shift
+   every downstream timestamp.
 
 2. **Events/sec gate.**  Old: the reference configuration, cold caches
-   (seed behaviour, like the BENCH_dse "old" side).  New: all fast
+   (like the BENCH_dse "old" side; the executor and stations run the
+   same hold code in both configurations).  New: all fast
    paths with warm plan-level caches (the steady state a serving
    middleware sees, like the BENCH_dse "new" side) and aggregate
    traces.  The gate asserts the fast path sustains at least
@@ -187,9 +189,10 @@ def test_bench_engine_events_per_second_gate():
         "description": (
             "5000-request seeded Poisson stream (4 rps, four models) through "
             "the 4-shard scheduler: reference paths cold (REPRO_SIM_FASTPATH=0 "
-            "+ REPRO_DSE_FASTPATH=0, full traces -- the pre-overhaul engine "
-            "and DSE, seed behaviour) vs the optimized engine + batched "
-            "staged search with warm plan-level caches and aggregate traces "
+            "+ REPRO_DSE_FASTPATH=0, full traces -- the reference engine "
+            "drain with the memo stores off, and the reference DSE) vs the "
+            "optimized engine + batched staged search with warm plan-level "
+            "caches and aggregate traces "
             "(steady state).  Schedules are asserted byte-identical across "
             "all configurations before timing."
         ),

@@ -135,10 +135,6 @@ class SharePlan:
     shares: Tuple[float, ...]  # per executor, summing to 1; zeros allowed
     makespan_s: float
 
-    @property
-    def active_executors(self) -> int:
-        return sum(1 for share in self.shares if share > 0)
-
 
 def data_shares_dp(
     flops_by_class: Mapping[str, int],

@@ -91,24 +91,6 @@ def candidate_cuts(
     return chosen
 
 
-def _range_flops(
-    segments: Sequence[Segment], lo: int, hi: int, table: Optional[SegmentTable] = None
-) -> Dict[str, int]:
-    """FLOPs-by-class of segments ``[lo..hi]`` via prefix sums."""
-    if table is None:
-        table = SegmentTable(segments)
-    return table.range_flops(lo, hi)
-
-
-def _range_ops(
-    segments: Sequence[Segment], lo: int, hi: int, table: Optional[SegmentTable] = None
-) -> int:
-    """Operator count of segments ``[lo..hi]`` via prefix sums."""
-    if table is None:
-        table = SegmentTable(segments)
-    return table.range_ops(lo, hi)
-
-
 def _data_share_items(
     graph: DNNGraph,
     segments: Sequence[Segment],
@@ -632,9 +614,6 @@ class ExchangeCost:
 
     def total_exchange_bytes(self, num_tiles: int) -> int:
         return self.exchange_bytes_per_boundary * max(num_tiles - 1, 0) * 2
-
-    def total_exchange_events(self, num_tiles: int) -> int:
-        return self.exchange_events_per_boundary * max(num_tiles - 1, 0) * 2
 
 
 def exchange_costs(

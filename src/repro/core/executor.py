@@ -24,10 +24,17 @@ Timeline of one request (leader FSM):
 5. ``execute``        -- compute tasks queue on processor stations;
                           intermediate tensors move; results gather.
 6. back to ``global_offload`` for the merge, then ``analyze``.
+
+Every station charge is one ``yield from``
+:meth:`~repro.sim.runtime.ProcessorStation.hold` and every WLAN leg one
+``yield from`` :meth:`~repro.sim.runtime.NetworkChannel.transmit`: the
+executor never claims a resource itself, so the hold protocol has a
+single implementation.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Generator, List, Optional
 
 from repro.comm.network import STATUS_PACKET_BYTES
@@ -72,19 +79,16 @@ Checkpoint = Callable[[], Generator[Event, None, None]]
 
 
 class _TaskSpec:
-    """One local task, compiled to flat constants for the fast path.
+    """One local task, compiled to flat constants.
 
-    Everything a fused task flow touches per execution -- the station,
-    its FIFO resource, the memoised durations and the record arguments
-    -- resolved once per (plan, run) so the per-serve generators do no
-    graph walks, no dict sums and no attribute chains.  Values mirror
-    exactly what the reference arm recomputes each execution.
+    Everything a task flow touches per execution -- the station, the
+    memoised durations and the record arguments -- resolved once per
+    (plan, run) so the per-serve generators do no graph walks, no dict
+    sums and no attribute chains.
     """
 
     __slots__ = (
         "station",
-        "resource",
-        "busy_key",
         "in_s",
         "duration",
         "out_s",
@@ -96,8 +100,6 @@ class _TaskSpec:
 
     def __init__(self, station, in_s, duration, out_s, label, total_flops):
         self.station = station
-        self.resource = station._resource
-        self.busy_key = station.key
         self.in_s = in_s
         self.duration = duration
         self.out_s = out_s
@@ -110,104 +112,39 @@ class _TaskSpec:
 class _CompiledLocal:
     """A :class:`LocalExec` compiled against one runtime's stations."""
 
-    __slots__ = ("device", "label", "mode", "specs", "stages", "tail")
+    __slots__ = ("device", "label", "mode", "specs", "stages")
 
-    def __init__(self, device, label, mode, specs=None, stages=None, tail=None):
+    def __init__(self, device, label, mode, specs, stages=None):
         self.device = device
         self.label = label
         self.mode = mode
         self.specs = specs
         self.stages = stages
-        self.tail = tail
 
 
-def _child_task_flow(env, runtime, spec, faults, device_name, segment):
-    """Process: one fan-out child (tile or stage task), fully fused.
+def _child_task_flow(env, flops_log, spec, faults, device_name, segment):
+    """Process: one fan-out child (tile or stage task).
 
-    The body is ``ProcessorStation.run_task`` flattened around the
-    compiled :class:`_TaskSpec` constants, bracketed by the input and
-    output hand-off timeouts -- zero delegated generators, so every
-    resume of the hottest simulated flow activates exactly one frame.
-    Keep the hold protocol in sync with ``run_task`` (commit backlog,
-    request, busy-record, release; un-commit on an abandoned claim).
+    The input hand-off, the station's
+    :meth:`~repro.sim.runtime.ProcessorStation.hold` over the compiled
+    :class:`_TaskSpec`, the FLOPs record and the output hand-off.
     Faults follow the fan-out sentinel contract: gate at flow start,
     *return* the loss as the process value.
     """
     if faults is not None and not faults.device_ok(device_name):
         return DeviceLostError(device_name, segment, env.now)
     yield Timeout(env, spec.in_s)
-    station = spec.station
-    duration = spec.duration
-    factor = station.throttle.factor
-    if factor != 1.0:
-        duration = duration * factor
-    committed = station.committed_until
-    now = env.now
-    station.committed_until = (committed if committed > now else now) + duration
-    runtime._load_version += 1
-    resource = spec.resource
-    request = resource.request()
-    try:
-        yield request
-    except BaseException:
-        resource.release(request)
-        station.committed_until -= duration
-        runtime._load_version += 1
-        raise
-    start = env.now
-    try:
-        yield Timeout(env, duration)
-    finally:
-        end = env.now
-        runtime.busy.record(spec.busy_key, start, end, spec.label)
-        resource.release(request)
-    runtime.flops_log.record(end, spec.total_flops, spec.device, spec.processor, spec.label)
+    end = yield from spec.station.hold(spec.duration, spec.label)
+    flops_log.record(end, spec.total_flops, spec.device, spec.processor, spec.label)
     yield Timeout(env, spec.out_s)
 
 
-def _probe_round_trip(env, channel, leader, dst):
-    """Process: one availability status round trip, transmits fused.
-
-    The body is ``NetworkChannel.transmit`` flattened twice (request
-    leg, reply leg) -- ``src != dst`` always holds here, and bandwidth/
-    latency are read live at grant time exactly like the reference, so
-    degradation episodes land identically.  Keep in sync with
-    ``transmit``.
-    """
-    resource = channel._resource
-    log_record = channel._log.record
-    request = resource.request()
-    try:
-        yield request
-    except BaseException:
-        resource.release(request)
-        raise
-    start = env.now
-    try:
-        yield Timeout(env, STATUS_PACKET_BYTES / channel._bandwidth_bytes_s)
-    finally:
-        resource.release(request)
-    hold_end = env.now
-    yield Timeout(env, channel._latency_s)
-    log_record(
-        start, env.now, STATUS_PACKET_BYTES, leader, dst, "status_request", hold_end=hold_end
-    )
-    request = resource.request()
-    try:
-        yield request
-    except BaseException:
-        resource.release(request)
-        raise
-    start = env.now
-    try:
-        yield Timeout(env, STATUS_PACKET_BYTES / channel._bandwidth_bytes_s)
-    finally:
-        resource.release(request)
-    hold_end = env.now
-    yield Timeout(env, channel._latency_s)
-    log_record(
-        start, env.now, STATUS_PACKET_BYTES, dst, leader, "status_reply", hold_end=hold_end
-    )
+def _probe_round_trip(channel, leader, dst):
+    """Process: one availability status round trip -- a request leg and
+    a reply leg, each one
+    :meth:`~repro.sim.runtime.NetworkChannel.transmit`."""
+    yield from channel.transmit(leader, dst, STATUS_PACKET_BYTES, "status_request")
+    yield from channel.transmit(dst, leader, STATUS_PACKET_BYTES, "status_reply")
 
 
 class PlanExecutor:
@@ -234,9 +171,10 @@ class PlanExecutor:
         # skip them (results carry empty traces) like every other
         # per-entry record.
         self._record_fsm = runtime.trace_level == TRACE_FULL
-        # The memos below ride the simulation fast path
-        # (``REPRO_SIM_FASTPATH``), so the reference configuration keeps
-        # the seed's recompute-per-execution cost profile.
+        # The memos below are stored only on the simulation fast path
+        # (``REPRO_SIM_FASTPATH``): the reference configuration runs the
+        # same flows but recomputes every value per execution, so the
+        # hatch matrix pins each memo against a fresh computation.
         self._fast = runtime.env._fast
         # Task durations are pure functions of the (immutable) task and
         # its processor; serving runs execute the same cached plan's
@@ -247,8 +185,8 @@ class PlanExecutor:
         # same plan moves the same tensors every execution.
         self._devices = {device.name: device for device in runtime.cluster.devices}
         self._transfer_seconds: dict = {}
-        # Compiled local-exec flows (fast path; see _compiled_local)
-        # and the per-device scheduler-CPU station memo.
+        # Compiled local execs (see _compiled_local) and the per-device
+        # scheduler-CPU station memo.
         self._compiled: dict = {}
         self._scheduler_stations: dict = {}
 
@@ -306,57 +244,37 @@ class PlanExecutor:
             self._scheduler_stations[device_name] = station
         return station
 
-    def _busy(self, device_name: str, seconds: float, label: str) -> Generator[Event, None, None]:
+    def _busy(self, device_name: str, seconds: float, label: str):
         """Charge controller overhead as busy time on the scheduler CPU.
 
         The CPU resource is held for the full overhead (an overhead
         shorter than the processor's setup time charges exactly the
         overhead, never the setup floor), so concurrent requests
         serialise on the controller instead of overlapping.
+
+        Returns the scheduler station's
+        :meth:`~repro.sim.runtime.ProcessorStation.hold` for the caller
+        to ``yield from`` -- or an empty iterable when
+        ``seconds <= 0``, which charges nothing and schedules no event.
+        A plain function, so the caller's flow delegates straight to
+        the hold.
         """
         if seconds <= 0:
-            return
-        station = self._scheduler_station(device_name)
-        if not self._fast:
-            yield from station.run_overhead(seconds, label=label)
-            return
-        # run_overhead/_hold fused: identical hold protocol, two fewer
-        # delegated generators (keep in sync with ProcessorStation._hold).
-        runtime = self.runtime
-        env = runtime.env
-        factor = station.throttle.factor
-        if factor != 1.0:
-            seconds = seconds * factor
-        committed = station.committed_until
-        now = env.now
-        station.committed_until = (committed if committed > now else now) + seconds
-        runtime._load_version += 1
-        resource = station._resource
-        request = resource.request()
-        try:
-            yield request
-        except BaseException:
-            resource.release(request)
-            station.committed_until -= seconds
-            runtime._load_version += 1
-            raise
-        start = env.now
-        try:
-            yield Timeout(env, seconds)
-        finally:
-            runtime.busy.record(station.key, start, env.now, label)
-            resource.release(request)
+            return ()
+        return self._scheduler_station(device_name).hold(seconds, label)
 
-    def charge_overhead(
-        self, device_name: str, seconds: float, label: str
-    ) -> Generator[Event, None, None]:
+    def charge_overhead(self, device_name: str, seconds: float, label: str):
         """Process: charge controller time on a device's scheduler CPU.
 
         Public entry point for schedulers that account planning work
         outside :meth:`execute` (e.g. batched co-planning charged once
-        per backlog at the dispatcher).
+        per backlog at the dispatcher); ``yield from`` the result.
+        Non-finite ``seconds`` raise :class:`ValueError` here, at the
+        boundary, rather than as a non-finite timeout inside the engine.
         """
-        yield from self._busy(device_name, seconds, label)
+        if not math.isfinite(seconds):
+            raise ValueError(f"overhead seconds must be finite, got {seconds!r}")
+        return self._busy(device_name, seconds, label)
 
     def _pause_point(self, checkpoint: Optional[Checkpoint]) -> Generator[Event, None, None]:
         """Yield to the preemption checkpoint at a segment boundary.
@@ -388,32 +306,14 @@ class PlanExecutor:
         cannot round-trip to a device that left.
         """
         env = self.runtime.env
+        network = self.runtime.network
         probes = []
         for device in self.runtime.cluster.devices:
             if device.name == leader:
                 continue
             if faults is not None and not faults.device_ok(device.name):
                 continue
-
-            if self._fast:
-                probes.append(
-                    env.process(
-                        _probe_round_trip(
-                            env, self.runtime.network, leader, device.name
-                        )
-                    )
-                )
-                continue
-
-            def round_trip(dst: str = device.name) -> Generator[Event, None, None]:
-                yield from self.runtime.network.transmit(
-                    leader, dst, STATUS_PACKET_BYTES, tag="status_request"
-                )
-                yield from self.runtime.network.transmit(
-                    dst, leader, STATUS_PACKET_BYTES, tag="status_reply"
-                )
-
-            probes.append(env.process(round_trip()))
+            probes.append(env.process(_probe_round_trip(network, leader, device.name)))
         if probes:
             yield env.all_of(probes)
 
@@ -424,12 +324,11 @@ class PlanExecutor:
     ) -> Generator[Event, None, None]:
         """Run one node's local execution (all four local modes).
 
-        The fast path executes a compiled :class:`_CompiledLocal` --
-        flat per-task constants, fused hold protocol, zero delegated
-        generators on the sequential modes; the reference arm below
-        keeps the seed structure as the executable spec.  Both arms
-        produce identical event schedules (pinned by the cross-hatch
-        matrix).
+        Executes the compiled :class:`_CompiledLocal`: flat per-task
+        constants, each task one
+        :meth:`~repro.sim.runtime.ProcessorStation.hold` away from this
+        flow (sequential modes) or from its fan-out child (tile and
+        stage modes).
 
         Fault semantics: tile/stage fan-out children cannot raise (an
         exception in a child process would crash the event loop), so
@@ -439,19 +338,17 @@ class PlanExecutor:
         charged -- and re-raises the first failure.  The sequential
         modes gate in the caller's own frame and raise directly.
         """
-        if not self._fast:
-            yield from self._run_local_reference(device_name, local, label, faults)
-            return
         compiled = self._compiled_local(device_name, local, label)
         runtime = self.runtime
         env = runtime.env
+        flops_log = runtime.flops_log
         mode = compiled.mode
         if mode == LOCAL_DATA or mode == LOCAL_STAGED:
             segment = "tile" if mode == LOCAL_DATA else "stage"
             for stage in compiled.stages:
                 children = [
                     env.process(
-                        _child_task_flow(env, runtime, spec, faults, device_name, segment)
+                        _child_task_flow(env, flops_log, spec, faults, device_name, segment)
                     )
                     for spec in stage
                 ]
@@ -460,47 +357,19 @@ class PlanExecutor:
                     for value in values:
                         if isinstance(value, DeviceLostError):
                             raise value
-            segment_specs = compiled.specs  # the data-mode tail, if any
         else:
             segment = "execute"
-            segment_specs = compiled.specs  # single / pipeline task list
-        for spec in segment_specs:
+        # The data-mode tail (if any), or the single / pipeline task list.
+        for spec in compiled.specs:
             if faults is not None:
                 self._check(faults, (device_name,), segment)
             yield Timeout(env, spec.in_s)
-            # ProcessorStation.run_task, fused over the compiled spec
-            # (keep the hold protocol in sync with run_task/_hold).
-            station = spec.station
-            duration = spec.duration
-            factor = station.throttle.factor
-            if factor != 1.0:
-                duration = duration * factor
-            committed = station.committed_until
-            now = env.now
-            station.committed_until = (committed if committed > now else now) + duration
-            runtime._load_version += 1
-            resource = spec.resource
-            request = resource.request()
-            try:
-                yield request
-            except BaseException:
-                resource.release(request)
-                station.committed_until -= duration
-                runtime._load_version += 1
-                raise
-            start = env.now
-            try:
-                yield Timeout(env, duration)
-            finally:
-                end = env.now
-                runtime.busy.record(spec.busy_key, start, end, spec.label)
-                resource.release(request)
-            runtime.flops_log.record(
-                end, spec.total_flops, spec.device, spec.processor, spec.label
-            )
+            end = yield from spec.station.hold(spec.duration, spec.label)
+            flops_log.record(end, spec.total_flops, spec.device, spec.processor, spec.label)
 
     def _compiled_local(self, device_name: str, local: LocalExec, label: str):
-        """The compiled form of a local exec, memoised per run.
+        """The compiled form of a local exec, memoised per run on the
+        simulation fast path.
 
         Serving runs execute the same cached plan's locals thousands of
         times; resolving stations, durations and transfer times once
@@ -562,141 +431,18 @@ class PlanExecutor:
                 mode,
                 specs=[spec_of(task, False) for task in local.tasks],
             )
-        self._compiled[key] = (local, compiled)
-        if len(self._compiled) > self.TASK_SECONDS_MAX:
-            self._compiled.pop(next(iter(self._compiled)))
+        if self._fast:
+            self._compiled[key] = (local, compiled)
+            if len(self._compiled) > self.TASK_SECONDS_MAX:
+                self._compiled.pop(next(iter(self._compiled)))
         return compiled
 
-    def _run_local_reference(
-        self, device_name: str, local: LocalExec, label: str, faults=None
-    ) -> Generator[Event, None, None]:
-        # Local tensor hand-offs are inlined single timeouts (exactly
-        # what SimRuntime.local_transfer yields) with memoised transfer
-        # times -- one fewer delegated generator per hand-off on the
-        # hottest execution path.
-        #
-        # Fault semantics: tile/stage fan-out children cannot raise (an
-        # exception in a child process would crash the event loop), so
-        # they gate availability at flow start and *return* the
-        # DeviceLostError as their process value; the parent collects
-        # every child -- in-flight work runs to completion and is
-        # charged -- and re-raises the first failure.  The sequential
-        # modes gate in the caller's own frame and raise directly.
-        env = self.runtime.env
-        if local.mode == LOCAL_SINGLE:
-            task = local.tasks[0]
-            if faults is not None:
-                self._check(faults, (device_name,), "execute")
-            yield Timeout(env, self._local_transfer_seconds(device_name, task.input_bytes))
-            station = self.runtime.station(device_name, task.processor)
-            duration, total_flops = self._task_costs(station, task)
-            yield from station.run_task(
-                task.flops_by_class,
-                label=task.label or label,
-                pinned=task.pinned,
-                num_ops=task.num_ops,
-                duration=duration,
-                total_flops=total_flops,
-            )
-            return
-        if local.mode == LOCAL_DATA:
-            children = []
-            for task in local.tasks:
-
-                def tile_flow(t=task) -> Generator[Event, None, None]:
-                    if faults is not None and not faults.device_ok(device_name):
-                        return DeviceLostError(device_name, "tile", env.now)
-                    yield Timeout(env, self._local_transfer_seconds(device_name, t.input_bytes))
-                    station = self.runtime.station(device_name, t.processor)
-                    duration, total_flops = self._task_costs(station, t)
-                    yield from station.run_task(
-                        t.flops_by_class,
-                        label=t.label or label,
-                        pinned=t.pinned,
-                        num_ops=t.num_ops,
-                        duration=duration,
-                        total_flops=total_flops,
-                    )
-                    yield Timeout(env, self._local_transfer_seconds(device_name, t.output_bytes))
-
-                children.append(env.process(tile_flow()))
-            values = yield env.all_of(children)
-            if faults is not None:
-                for value in values:
-                    if isinstance(value, DeviceLostError):
-                        raise value
-            if local.tail is not None:
-                if faults is not None:
-                    self._check(faults, (device_name,), "tile")
-                station = self.runtime.station(device_name, local.tail.processor)
-                yield Timeout(
-                    env,
-                    self._local_transfer_seconds(device_name, local.tail.input_bytes),
-                )
-                duration, total_flops = self._task_costs(station, local.tail)
-                yield from station.run_task(
-                    local.tail.flops_by_class,
-                    label=local.tail.label,
-                    pinned=local.tail.pinned,
-                    num_ops=local.tail.num_ops,
-                    duration=duration,
-                    total_flops=total_flops,
-                )
-            return
-        if local.mode == LOCAL_STAGED:
-            for stage in local.stages:
-                children = []
-                for task in stage:
-
-                    def stage_flow(t=task) -> Generator[Event, None, None]:
-                        if faults is not None and not faults.device_ok(device_name):
-                            return DeviceLostError(device_name, "stage", env.now)
-                        yield Timeout(
-                            env,
-                            self._local_transfer_seconds(device_name, t.input_bytes)
-                        )
-                        station = self.runtime.station(device_name, t.processor)
-                        duration, total_flops = self._task_costs(station, t)
-                        yield from station.run_task(
-                            t.flops_by_class,
-                            label=t.label or label,
-                            pinned=t.pinned,
-                            num_ops=t.num_ops,
-                            duration=duration,
-                            total_flops=total_flops,
-                        )
-                        yield Timeout(
-                            env,
-                            self._local_transfer_seconds(device_name, t.output_bytes)
-                        )
-
-                    children.append(env.process(stage_flow()))
-                values = yield env.all_of(children)
-                if faults is not None:
-                    for value in values:
-                        if isinstance(value, DeviceLostError):
-                            raise value
-            return
-        # pipeline
-        for task in local.tasks:
-            if faults is not None:
-                self._check(faults, (device_name,), "execute")
-            yield Timeout(env, self._local_transfer_seconds(device_name, task.input_bytes))
-            station = self.runtime.station(device_name, task.processor)
-            duration, total_flops = self._task_costs(station, task)
-            yield from station.run_task(
-                task.flops_by_class,
-                label=task.label or label,
-                pinned=task.pinned,
-                num_ops=task.num_ops,
-                duration=duration,
-                total_flops=total_flops,
-            )
-
-    def _map_overhead(self, device_name: str, local: LocalExec) -> Generator[Event, None, None]:
-        """Charge the follower-side local DSE (Fig. 4 'Local: Map')."""
+    def _map_overhead(self, device_name: str, local: LocalExec):
+        """The follower-side local DSE charge (Fig. 4 'Local: Map'), as
+        a hold to ``yield from`` (see :meth:`_busy`)."""
         if self.charge_local_map and len(local.tasks) > 1:
-            yield from self._busy(device_name, LOCAL_MAP_OVERHEAD_S, "local_dse")
+            return self._busy(device_name, LOCAL_MAP_OVERHEAD_S, "local_dse")
+        return ()
 
     # Global modes ---------------------------------------------------------------
 
@@ -708,100 +454,22 @@ class PlanExecutor:
         faults=None,
     ) -> Generator[Event, None, None]:
         env = self.runtime.env
-        if self._fast:
-            # Fast arm: both NetworkChannel.transmit legs flattened
-            # (src != dst holds on each guarded leg) and _map_overhead
-            # inlined.  Bandwidth/latency are read live at grant time,
-            # so degradation episodes land identically to the reference
-            # arm below -- keep the two arms in sync.
-            device = assignment.device
-            channel = self.runtime.network
-            if device != leader:
-                if faults is not None:
-                    self._check(faults, (device,), "offload")
-                resource = channel._resource
-                request = resource.request()
-                try:
-                    yield request
-                except BaseException:
-                    resource.release(request)
-                    raise
-                start = env.now
-                try:
-                    yield Timeout(
-                        env, assignment.send_bytes / channel._bandwidth_bytes_s
-                    )
-                finally:
-                    resource.release(request)
-                hold_end = env.now
-                yield Timeout(env, channel._latency_s)
-                channel._log.record(
-                    start,
-                    env.now,
-                    assignment.send_bytes,
-                    leader,
-                    device,
-                    "workload",
-                    hold_end=hold_end,
-                )
-            if trace is not None:
-                trace.enter(env.now, STATE_MAP)
-            if self.charge_local_map and len(assignment.local.tasks) > 1:
-                yield from self._busy(device, LOCAL_MAP_OVERHEAD_S, "local_dse")
-            if trace is not None:
-                trace.enter(env.now, STATE_EXECUTE)
-            yield from self._run_local(device, assignment.local, assignment.label, faults)
-            if device != leader:
-                if faults is not None:
-                    self._check(faults, (device,), "result")
-                resource = channel._resource
-                request = resource.request()
-                try:
-                    yield request
-                except BaseException:
-                    resource.release(request)
-                    raise
-                start = env.now
-                try:
-                    yield Timeout(
-                        env, assignment.return_bytes / channel._bandwidth_bytes_s
-                    )
-                finally:
-                    resource.release(request)
-                hold_end = env.now
-                yield Timeout(env, channel._latency_s)
-                channel._log.record(
-                    start,
-                    env.now,
-                    assignment.return_bytes,
-                    device,
-                    leader,
-                    "result",
-                    hold_end=hold_end,
-                )
-            if trace is not None:
-                trace.enter(env.now, STATE_ANALYZE)
-            return
-        if assignment.device != leader:
+        device = assignment.device
+        channel = self.runtime.network
+        if device != leader:
             if faults is not None:
-                self._check(faults, (assignment.device,), "offload")
-            yield from self.runtime.network.transmit(
-                leader, assignment.device, assignment.send_bytes, tag="workload"
-            )
+                self._check(faults, (device,), "offload")
+            yield from channel.transmit(leader, device, assignment.send_bytes, "workload")
         if trace is not None:
             trace.enter(env.now, STATE_MAP)
-        yield from self._map_overhead(assignment.device, assignment.local)
+        yield from self._map_overhead(device, assignment.local)
         if trace is not None:
             trace.enter(env.now, STATE_EXECUTE)
-        yield from self._run_local(
-            assignment.device, assignment.local, assignment.label, faults
-        )
-        if assignment.device != leader:
+        yield from self._run_local(device, assignment.local, assignment.label, faults)
+        if device != leader:
             if faults is not None:
-                self._check(faults, (assignment.device,), "result")
-            yield from self.runtime.network.transmit(
-                assignment.device, leader, assignment.return_bytes, tag="result"
-            )
+                self._check(faults, (device,), "result")
+            yield from channel.transmit(device, leader, assignment.return_bytes, "result")
         if trace is not None:
             trace.enter(env.now, STATE_ANALYZE)
 

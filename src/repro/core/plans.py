@@ -10,6 +10,7 @@ apples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -173,8 +174,10 @@ class ExecutionPlan:
             raise ValueError("plan needs at least one assignment")
         if self.mode == MODE_LOCAL and len(self.assignments) != 1:
             raise ValueError("local mode carries exactly one assignment")
-        if self.predicted_latency_s < 0 or self.dse_overhead_s < 0:
-            raise ValueError("negative predicted latency or overhead")
+        for name in ("predicted_latency_s", "dse_overhead_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     @property
     def devices(self) -> Tuple[str, ...]:

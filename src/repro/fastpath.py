@@ -9,15 +9,20 @@ executable specification:
   :mod:`repro.dnn.partition` and the batched staged local search in
   :mod:`repro.core.local_partitioner` all gate on
   :func:`fastpath_enabled`.
-- ``REPRO_SIM_FASTPATH=0`` forces the reference simulation engine path
-  (:mod:`repro.sim.engine`) and the seed-style trace/runtime hot paths:
+- ``REPRO_SIM_FASTPATH=0`` forces the reference simulation engine:
+  the seed drain loop, process bootstrap and late-callback events of
+  :mod:`repro.sim.engine`.  It also turns off the memo *stores* of the
+  layers above -- the executor's task/transfer/station/compiled-local
+  memos, the runtime's load snapshots and the dispatcher's bucket
+  memo -- so those layers run the same code but recompute every value.
+  No executor or station control flow depends on it.
   :func:`sim_fastpath_enabled` is captured per
   :class:`~repro.sim.engine.Environment` at construction.
 
 Both fast paths are byte-identical to their references -- plans, event
 schedules and traces match exactly; the hatches exist for the old-vs-new
-regression benches (``BENCH_dse.json``, ``BENCH_engine.json``) and as a
-diagnosis tool.
+regression benches (``BENCH_dse.json``, ``BENCH_engine.json``), as the
+differential check of every memo, and as a diagnosis tool.
 """
 
 from __future__ import annotations

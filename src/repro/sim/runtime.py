@@ -81,14 +81,17 @@ class ProcessorStation:
         """Outstanding committed work on this processor."""
         return max(0.0, self.committed_until - self.env.now)
 
-    def _hold(self, duration: float, label: str) -> Generator[Event, None, float]:
+    def hold(self, duration: float, label: str) -> Generator[Event, None, float]:
         """Process: the capacity-1 hold protocol every charge uses --
         commit the backlog, queue for the resource, stay busy for
         ``duration``, record the interval, release.  Returns the
         completion time.
 
-        (:meth:`run_task` inlines this body to cut one generator
-        delegation off the hottest path; keep the two in sync.)
+        The one implementation of the protocol.  The executor's compute
+        tasks, fan-out children and controller overheads ``yield from``
+        it directly, so each hold is a single delegated frame;
+        :meth:`run_task` and :meth:`run_overhead` wrap it for callers
+        that work from FLOPs or need the zero-overhead shortcut.
         """
         env = self.env
         factor = self.throttle.factor
@@ -142,34 +145,7 @@ class ProcessorStation:
             duration = self.processor.task_seconds(
                 flops_by_class, num_ops=num_ops, pinned=pinned
             )
-        # _hold's body, inlined (every simulated compute task runs
-        # through here; one less delegated generator per resumption).
-        env = self.env
-        factor = self.throttle.factor
-        if factor != 1.0:
-            duration = duration * factor
-        committed = self.committed_until
-        now = env.now
-        self.committed_until = (committed if committed > now else now) + duration
-        runtime = self._runtime
-        if runtime is not None:
-            runtime._load_version += 1
-        request = self._resource.request()
-        try:
-            yield request
-        except BaseException:
-            self._resource.release(request)
-            self.committed_until -= duration
-            if runtime is not None:
-                runtime._load_version += 1
-            raise
-        start = env.now
-        try:
-            yield Timeout(env, duration)
-        finally:
-            end = env.now
-            self._busy.record(self.key, start, end, label)
-            self._resource.release(request)
+        end = yield from self.hold(duration, label)
         if total_flops is None:
             total_flops = sum(flops_by_class.values())
         self._flops_log.record(
@@ -188,7 +164,7 @@ class ProcessorStation:
         """
         if seconds <= 0:
             return self.env.now
-        return (yield from self._hold(seconds, label))
+        return (yield from self.hold(seconds, label))
 
     @property
     def queue_length(self) -> int:
@@ -245,7 +221,13 @@ class NetworkChannel:
     def transmit(
         self, src: str, dst: str, size_bytes: int, tag: str = ""
     ) -> Generator[Event, None, None]:
-        """Process: occupy the channel for the serialisation time."""
+        """Process: occupy the channel for the serialisation time, then
+        let the propagation latency elapse and log the transfer.
+
+        The one implementation of the channel leg: every executor
+        transfer (probe, offload, pipeline block, result) is one
+        ``yield from`` of it.
+        """
         if src == dst:
             return
         env = self.env
@@ -341,13 +323,6 @@ class SimRuntime:
             return self._device_stations[device_name][0]
         except KeyError:
             return ()
-
-    def local_transfer(
-        self, device_name: str, size_bytes: int
-    ) -> Generator[Event, None, None]:
-        """Process: intra-device tensor hand-off over shared memory."""
-        device = self.cluster.device(device_name)
-        yield self.env.timeout(device.transfer_seconds(size_bytes))
 
     def station_backlogs(self, device_name: str) -> Dict[str, float]:
         """Per-station committed backlog on one device, keyed by processor."""

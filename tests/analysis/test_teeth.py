@@ -98,8 +98,9 @@ def test_deleting_claim_cleanup_in_runtime_trips_r3():
     mutant = _mutate(path, StripReleaseCleanup())
     assert "finally" not in mutant or ".release(" not in mutant.split("finally")[1][:200]
     hits = _rule_hits(mutant, "repro.sim.runtime", "R3")
-    # _hold, run_task and transmit all lose their release paths.
-    assert len(hits) >= 3, "\n".join(f.format() for f in hits)
+    # The two claim sites -- ProcessorStation.hold and
+    # NetworkChannel.transmit -- both lose their release paths.
+    assert len(hits) >= 2, "\n".join(f.format() for f in hits)
 
 
 def test_deleting_claim_cleanup_in_resources_trips_r3():

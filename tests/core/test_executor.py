@@ -218,6 +218,16 @@ class TestControllerContention:
         station = runtime.station("jetson_tx2", "cpu_denver2")
         assert station.backlog_seconds == pytest.approx(0.49)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_charge_overhead_rejects_non_finite_seconds(self, seconds):
+        cluster = build_cluster(["jetson_tx2", "jetson_orin_nx"])
+        runtime = SimRuntime(cluster)
+        executor = PlanExecutor(runtime)
+        with pytest.raises(ValueError, match="finite"):
+            executor.charge_overhead("jetson_tx2", seconds, "batch_dse")
+        station = runtime.station("jetson_tx2", "cpu_denver2")
+        assert station.committed_until == 0.0
+
 
 class TestLocalExecModes:
     def _wrap(self, local):

@@ -154,3 +154,17 @@ class TestExecutionPlan:
     def test_negative_bytes_rejected(self):
         with pytest.raises(ValueError):
             self._assignment(send_bytes=-1)
+
+    @pytest.mark.parametrize("field", ["dse_overhead_s", "predicted_latency_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_seconds_rejected(self, field, value):
+        # nan < 0 is false, so a bare sign check lets NaN through to the
+        # executor, where it surfaces as a non-finite engine timeout.
+        with pytest.raises(ValueError, match=field):
+            ExecutionPlan(
+                strategy="s",
+                model="m",
+                mode=MODE_LOCAL,
+                assignments=(self._assignment(),),
+                **{field: value},
+            )

@@ -246,12 +246,3 @@ class TestNetworkChannel:
         entry = runtime.transfer_log.entries[0]
         assert entry.hold_seconds == pytest.approx(serialisation)
         assert entry.delivery_seconds == pytest.approx(serialisation + net.latency_s)
-
-    def test_local_transfer(self, runtime):
-        def proc():
-            yield from runtime.local_transfer("jetson_tx2", 10**6)
-
-        runtime.env.process(proc())
-        runtime.env.run()
-        device = runtime.cluster.device("jetson_tx2")
-        assert runtime.env.now == pytest.approx(device.transfer_seconds(10**6))
