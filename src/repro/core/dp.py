@@ -92,6 +92,41 @@ def scale_flops(flops_by_class: Mapping[str, int], factor: float) -> Dict[str, i
 # --------------------------------------------------------------------------
 
 
+def _compute_matrix(
+    flop_dicts: Sequence[Mapping[str, int]],
+    num_ops: Sequence[float],
+    executors: Sequence[ExecutorModel],
+) -> np.ndarray:
+    """``compute_seconds(flops, ops)`` of every (item, executor) pair,
+    shaped ``(items, executors)``.
+
+    When every dict's keys are an ordered subset of ``LAYER_CLASSES``
+    (always true for graph-built costs) the matrix is accumulated column
+    by column in that order -- bitwise identical to compute_seconds'
+    dict loop, since skipped and missing zero terms add exactly 0.0.
+    Otherwise every cell goes through compute_seconds.
+    """
+    if not all(
+        tuple(flops) == LAYER_CLASSES
+        or tuple(flops) == tuple(cls for cls in LAYER_CLASSES if cls in flops)
+        for flops in flop_dicts
+    ):
+        cells = [
+            [executor.compute_seconds(flops, ops) for executor in executors]
+            for flops, ops in zip(flop_dicts, num_ops)
+        ]
+        return np.array(cells, dtype=np.float64).reshape(len(flop_dicts), len(executors))
+    rows = [[flops.get(cls, 0) for cls in LAYER_CLASSES] for flops in flop_dicts]
+    flops_mat = np.array(rows, dtype=np.float64).reshape(len(rows), len(LAYER_CLASSES))
+    dispatch = np.array([executor.dispatch_s for executor in executors], dtype=np.float64)
+    out = np.asarray(num_ops, dtype=np.float64)[:, None] * dispatch
+    for c, cls in enumerate(LAYER_CLASSES):
+        if any(row[c] for row in rows):
+            rates = np.array([executor.rates[cls] for executor in executors], dtype=np.float64)
+            out = out + flops_mat[:, c, None] / rates
+    return out
+
+
 def _no_inflation(share: float) -> float:
     """Default inflation model: shares cost exactly their fraction."""
     return 1.0
@@ -286,7 +321,8 @@ def clear_result_memos() -> None:
     """Drop the module-level result memos (share plans, pipeline plans,
     coarsened spans, assembled partitions).  Benchmarks call this
     between measurements so a warmed memo from one configuration cannot
-    subsidise another."""
+    subsidise another.  Structural caches on the immutable graph
+    (segments, segment table, halo tables) stay."""
     from repro.dnn.partition import clear_partition_memos
 
     _SHARES_RESULTS.clear()
@@ -359,12 +395,8 @@ def _data_shares_dp_numpy_batch(
 
     in_bytes_arr = np.array([item[1] for item in items], dtype=np.float64)
     num_ops_arr = np.array([item[2] for item in items], dtype=np.float64)
-    # T[c, i]: full-workload compute time of item c on executor i,
-    # evaluated through compute_seconds (dict order == reference).
-    full_compute = np.array(
-        [[executor.compute_seconds(item[0]) for executor in executors] for item in items],
-        dtype=np.float64,
-    )
+    # T[c, i]: full-workload compute time of item c on executor i.
+    full_compute = _compute_matrix([item[0] for item in items], np.zeros(num_items), executors)
     finish = np.empty((num_items, count, quanta + 1), dtype=np.float64)
     for i, executor in enumerate(executors):
         comm = (shares_vec[None, :] * in_bytes_arr[:, None]) / executor.comm_bytes_s
@@ -382,9 +414,8 @@ def _data_shares_dp_numpy_batch(
     for i in range(count - 1, -1, -1):
         rest = np.where(valid, best[:, rel_clipped], INF)  # (c, r, q)
         cand = np.maximum(finish[:, i, :][:, None, :], rest)
-        choice = np.argmin(cand, axis=2)  # first minimum == smallest q
-        choices[i] = choice
-        best = np.take_along_axis(cand, choice[:, :, None], axis=2)[:, :, 0]
+        choices[i] = np.argmin(cand, axis=2)  # first minimum == smallest q
+        best = cand.min(axis=2)  # the same float the first argmin points at
 
     plans: List[SharePlan] = []
     for c in range(num_items):
@@ -621,36 +652,13 @@ def _pipeline_cuts_dp_numpy(
     spans = _coarsen(segments, max_segments)
     n = len(spans)
     m = len(executors)
-    # Per-executor compute prefix.  When every span dict carries the
-    # canonical LAYER_CLASSES key order (always true for graph-built
-    # segments), the compute matrix is assembled column-by-column in
-    # that same order -- bitwise identical to compute_seconds' dict
-    # loop, since skipped zero terms add exactly 0.0.  np.cumsum is a
-    # ufunc accumulate: strictly sequential, like the reference prefix.
-    classes = tuple(LAYER_CLASSES)
-    if all(tuple(span[0]) == classes for span in spans):
-        flops_mat = np.array(
-            [[span[0][cls] for cls in classes] for span in spans], dtype=np.float64
-        )
-        ops_arr = np.array([span[4] for span in spans], dtype=np.float64)
-        used = [c for c in range(len(classes)) if flops_mat[:, c].any()]
-        prefix = np.zeros((m, n + 1), dtype=np.float64)
-        for e, executor in enumerate(executors):
-            col = ops_arr * executor.dispatch_s
-            for c in used:
-                col = col + flops_mat[:, c] / executor.rates[classes[c]]
-            prefix[e, 1:] = np.cumsum(col)
-    else:  # pragma: no cover - non-canonical dicts come from hand-built segments
-        compute = [
-            [executors[e].compute_seconds(span_flops, span_ops) for e in range(m)]
-            for span_flops, _, _, _, span_ops in spans
-        ]
-        prefix = np.zeros((m, n + 1), dtype=np.float64)
-        for e in range(m):
-            acc = 0.0
-            for i in range(n):
-                acc = acc + compute[i][e]
-                prefix[e][i + 1] = acc
+    # Per-executor compute prefix.  np.cumsum is a ufunc accumulate:
+    # strictly sequential, like the reference prefix.
+    prefix = np.zeros((m, n + 1), dtype=np.float64)
+    prefix[:, 1:] = np.cumsum(
+        _compute_matrix([span[0] for span in spans], [span[4] for span in spans], executors).T,
+        axis=1,
+    )
 
     in_bytes = [span[1] for span in spans]
     out_bytes = [span[2] for span in spans]
@@ -673,29 +681,27 @@ def _pipeline_cuts_dp_numpy(
         else:
             head[e] = executors[e].fixed_s + executors[e].comm_seconds(in_bytes[0])
 
-    dp = np.full((n, m), INF, dtype=np.float64)
-    stage = np.zeros((n, m), dtype=np.float64)
+    # Row-independent terms, built once per call with the reference's
+    # arithmetic: every row's single-block entry, the block cost
+    # blk[e, i, j] = prefix[e, i+1] - prefix[e, j+1], and the transfer
+    # with +INF where pe == e (no cut) -- adding 0.0 elsewhere is exact.
+    dp = head[None, :] + (prefix[:, 1:] - prefix[:, :1]).T  # (i, e)
+    stage = dp.copy()
+    blk = prefix[:, 1:, None] - prefix[:, None, 1:]  # (e, i, j)
+    no_cut = np.where(np.eye(m, dtype=bool), INF, 0.0)
+    cut_transfer = transfer[:, :, None] + no_cut[:, None, :]  # (e, j, pe)
     parent: List[List[Optional[Tuple[int, int]]]] = [[None] * m for _ in range(n)]
-    diag = np.arange(m)
 
-    for i in range(n):
-        dp[i] = head + (prefix[:, i + 1] - prefix[:, 0])
-        stage[i] = dp[i]
-        if i == 0:
-            continue
-        blk = prefix[:, i + 1][:, None] - prefix[:, 1 : i + 1]  # (e, j)
-        tr = transfer[:, :i]
-        cand = (dp[:i, :][None, :, :] + tr[:, :, None]) + blk[:, :, None]  # (e, j, pe)
-        cand[diag, :, diag] = INF  # pe == e is not a cut
+    for i in range(1, n):
+        cand = (dp[None, :i, :] + cut_transfer[:, :i, :]) + blk[:, i, :i, None]  # (e, j, pe)
         flat = cand.reshape(m, i * m)
         pos = np.argmin(flat, axis=1)  # first minimum == reference scan order
-        vals = flat[diag, pos]
-        for e in range(m):
-            if vals[e] < dp[i, e]:
-                j, pe = divmod(int(pos[e]), m)
-                dp[i, e] = vals[e]
-                parent[i][e] = (j, pe)
-                stage[i, e] = tr[e, j] + blk[e, j]
+        vals = flat.min(axis=1)
+        for e in (vals < dp[i]).nonzero()[0].tolist():
+            j, pe = divmod(int(pos[e]), m)
+            dp[i, e] = vals[e]
+            parent[i][e] = (j, pe)
+            stage[i, e] = transfer[e, j] + blk[e, i, j]
 
     best_e, best_total = 0, INF
     source = executors[source_executor]

@@ -550,7 +550,9 @@ class HiDPStrategy(Strategy):
         and already-cached (model, leader, load bucket) tuples are
         planned once.  Plans are identical to per-request :meth:`plan`
         calls and land in the same cache, so later ``plan()`` calls
-        hit.  ``leader`` applies batch-wide (one dispatcher plans from
+        hit.  As in :meth:`plan`, a plan is computed from the raw
+        effective load and cached under its quantised bucket: the first
+        raw load to reach a bucket decides the plan it keeps.  ``leader`` applies batch-wide (one dispatcher plans from
         one physical leader), as does the cache ``partition``.
         """
         effective = self.effective_load(load)

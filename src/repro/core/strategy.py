@@ -216,14 +216,19 @@ class Strategy(abc.ABC):
         """Plan with memoisation on (model, availability, leader, load
         bucket), optionally inside a cache ``partition``.
 
-        Planning is deterministic given the graph, the availability
-        vector, the physical leader and the (quantised) load snapshot,
-        so repeated requests for the same model under similar
-        conditions reuse the decision -- mirroring how the paper's
-        middleware caches DSE results for known workloads.  The cache
-        is LRU-bounded: a long open-loop request stream visits
-        unboundedly many load buckets, and an unbounded dict would leak
-        plans for buckets never seen again.
+        A fresh plan is computed by :meth:`_plan` from the *raw*
+        effective load snapshot, but cached under its quantised bucket
+        (:meth:`load_key`).  So a bucket keeps the plan computed for the
+        first raw load that reached it, and a later snapshot in the same
+        bucket reuses that plan even where its own raw load would have
+        planned differently.  Repeated requests for the same model under
+        similar conditions thus reuse the decision -- mirroring how the
+        paper's middleware caches DSE results for known workloads.  The
+        result depends on the order in which loads reach a bucket, and
+        is deterministic given that order.  The cache is LRU-bounded: a
+        long open-loop request stream visits unboundedly many load
+        buckets, and an unbounded dict would leak plans for buckets
+        never seen again.
         """
         effective = self.effective_load(load)
         resolved = self.resolve_leader(cluster, leader)
@@ -248,6 +253,9 @@ class Strategy(abc.ABC):
     ) -> List[ExecutionPlan]:
         """Co-plan a backlog of requests under one load snapshot.
 
+        Caching follows :meth:`plan`: a plan is computed from the raw
+        snapshot and cached under its quantised bucket, so a bucket's
+        first raw load decides its plan.
         The base implementation plans sequentially (sharing the plan
         cache, so duplicate models in the backlog are planned once);
         strategies with batched DSE kernels override this to price the

@@ -15,9 +15,10 @@ the "heterogeneous block size" property of Table I for free.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.dnn.layers import Input, Layer, LAYER_CLASSES, _pad_amount
 from repro.dnn.tensors import TensorSpec
@@ -66,6 +67,41 @@ class Segment:
         return len(self.layer_names)
 
 
+@dataclass(frozen=True, eq=False)
+class HaloTable:
+    """Every band's demand walk for one ``(end_layer, stop_layer)`` pair
+    (see :meth:`DNNGraph.halo_table`).  Column ``k`` is the reached layer
+    ``names[k]``, in layer order.  ``lo[r, k]``/``hi[r, k]`` are its
+    clamped first/end demanded rows when the band starts/ends at output
+    row ``r``.  ``work_flops`` is zero for the stop layer, whose rows are
+    received, not computed.  ``escaped`` names reached layers that come
+    before the stop layer: the walk left the range it was bounded to."""
+
+    names: Tuple[str, ...]
+    lo: np.ndarray
+    hi: np.ndarray
+    heights: np.ndarray
+    work_flops: np.ndarray
+    #: ``class_onehot[k, c]`` is 1 where ``names[k]`` is of class ``LAYER_CLASSES[c]``.
+    class_onehot: np.ndarray
+    escaped: Tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        for array in (self.lo, self.hi, self.heights, self.work_flops, self.class_onehot):
+            array.flags.writeable = False  # shared by every planning pass
+
+    def rows(self, bands: Sequence[Tuple[int, int]]) -> Tuple[np.ndarray, np.ndarray]:
+        """Clamped ``(lo, hi)`` demands of the bands ``[out_lo, out_hi)``,
+        shaped ``(bands, layers)``.  Raises :class:`GraphError` for an
+        empty band or one outside the output (a negative index would
+        wrap around silently)."""
+        height = len(self.lo) - 1
+        for out_lo, out_hi in bands:
+            if not 0 <= out_lo < out_hi <= height:
+                raise GraphError(f"band [{out_lo}, {out_hi}) is empty or outside [0, {height})")
+        return self.lo[[lo for lo, _ in bands]], self.hi[[hi for _, hi in bands]]
+
+
 class DNNGraph:
     """An immutable, validated DNN layer DAG with cached cost data."""
 
@@ -93,15 +129,11 @@ class DNNGraph:
             for producer in layer.inputs:
                 self._consumers[producer].append(layer.name)
         # Plan-level caches: the graph is immutable, so segment
-        # extraction, the prefix-sum cost table and demand walks are
-        # computed once and shared by every planning pass.  The demand
-        # memo is LRU-bounded: long-lived serving processes replan the
-        # same graph under ever-changing loads/bands.
+        # extraction, the prefix-sum cost table and the halo tables are
+        # computed once and shared by every planning pass.
         self._segments_cache: Optional[Tuple[Segment, ...]] = None
         self._segment_table = None
-        self._demand_cache: "OrderedDict[Tuple[str, int, int, Optional[str]], Dict[str, Tuple[int, int]]]" = (
-            OrderedDict()
-        )
+        self._halo_tables: Dict[Tuple[str, Optional[str]], HaloTable] = {}
 
     # Construction helpers ---------------------------------------------
 
@@ -273,22 +305,25 @@ class DNNGraph:
         producers are not visited.  Pass the cut-tensor layer feeding a
         segment range to keep the walk inside the range.
 
-        Walks are memoised on the immutable graph (the DSE re-prices the
-        same tile bands across candidate cuts and repeated plans); a
-        fresh dict is returned each call so callers may mutate it.
+        The walk is plain and uncached: it is the specification that
+        :meth:`halo_table` is tested against, and the per-band pricing
+        of the ``REPRO_DSE_FASTPATH=0`` reference arm.  Raises
+        :class:`GraphError` for an empty or inverted band.
         """
-        key = (end_layer, out_lo, out_hi, stop_layer)
-        cached = self._demand_cache.get(key)
-        if cached is not None:
-            self._demand_cache.move_to_end(key)
-            return dict(cached)
         if end_layer not in self._by_name:
             raise GraphError(f"unknown layer {end_layer!r}")
-        needed: Dict[str, Tuple[int, int]] = {end_layer: (out_lo, out_hi)}
+        if out_lo >= out_hi:
+            raise GraphError(f"empty or inverted band [{out_lo}, {out_hi}) of {end_layer!r}")
+        return self._demand_walk(end_layer, out_lo, out_hi, stop_layer, min, max)
+
+    def _demand_walk(self, end_layer, out_lo, out_hi, stop_layer, lower, upper):
+        """The backward walk behind :meth:`demand_rows` and
+        :meth:`halo_table`: ``out_lo``/``out_hi`` are ints or row arrays,
+        joined with ``lower``/``upper`` (``min``/``max`` or their numpy
+        element-wise forms)."""
+        needed = {end_layer: (out_lo, out_hi)}
         for layer in reversed(self.layers):
-            if layer.name not in needed:
-                continue
-            if stop_layer is not None and layer.name == stop_layer:
+            if layer.name not in needed or layer.name == stop_layer:
                 continue
             lo, hi = needed[layer.name]
             for producer in layer.inputs:
@@ -300,20 +335,50 @@ class DNNGraph:
                         p_lo -= pad_before
                         p_hi -= pad_before
                 else:
-                    producer_spec = self._specs[producer]
-                    p_lo, p_hi = 0, producer_spec.height
+                    p_lo, p_hi = 0, self._specs[producer].height
                 prev = needed.get(producer)
                 if prev is None:
                     needed[producer] = (p_lo, p_hi)
                 else:
-                    needed[producer] = (min(prev[0], p_lo), max(prev[1], p_hi))
-        self._demand_cache[key] = needed
-        if len(self._demand_cache) > self._DEMAND_CACHE_MAX:
-            self._demand_cache.popitem(last=False)
-        return dict(needed)
+                    needed[producer] = (lower(prev[0], p_lo), upper(prev[1], p_hi))
+        return needed
 
-    #: Bound on memoised demand walks per graph.
-    _DEMAND_CACHE_MAX = 4096
+    def halo_table(self, end_layer: str, stop_layer: Optional[str] = None) -> HaloTable:
+        """Memoised :class:`HaloTable`: the :meth:`demand_rows` walk of
+        every band of ``end_layer``'s output, clamped.
+
+        The walk is separable: a layer's ``lo`` is a min of affine maps
+        of ``out_lo`` alone, its ``hi`` a max of affine maps of
+        ``out_hi`` alone, and the layers reached do not depend on the
+        band.  So one walk over all ``height + 1`` output rows at once
+        answers every band.  Tables are keyed by layer pair, never by
+        band, and live as long as the graph."""
+        key = (end_layer, stop_layer)
+        if key in self._halo_tables:
+            return self._halo_tables[key]
+        if end_layer not in self._by_name:
+            raise GraphError(f"unknown layer {end_layer!r}")
+        rows = np.arange(self._specs[end_layer].height + 1)
+        needed = self._demand_walk(end_layer, rows, rows, stop_layer, np.minimum, np.maximum)
+        reached = [(pos, layer) for pos, layer in enumerate(self.layers) if layer.name in needed]
+        names = tuple(layer.name for _, layer in reached)
+        stop_pos = next((pos for pos, layer in reached if layer.name == stop_layer), 0)
+        heights = np.array([self._specs[name].height for name in names])
+        lo, hi = (
+            np.stack([np.broadcast_to(needed[name][side], rows.shape) for name in names], axis=1)
+            for side in (0, 1)
+        )
+        classes = [LAYER_CLASSES.index(layer.layer_class) for _, layer in reached]
+        self._halo_tables[key] = table = HaloTable(
+            names=names,
+            lo=np.maximum(lo, 0),
+            hi=np.minimum(hi, heights),
+            heights=heights,
+            work_flops=np.array([0 if n == stop_layer else self._flops[n] for n in names], float),
+            class_onehot=np.eye(len(LAYER_CLASSES), dtype=np.int64)[classes],
+            escaped=tuple(layer.name for pos, layer in reached if pos < stop_pos),
+        )
+        return table
 
     def clamp_rows(self, layer_name: str, rows: Tuple[int, int]) -> Tuple[int, int]:
         """Clamp a demand range to the layer's physical output height."""

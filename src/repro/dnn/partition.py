@@ -16,6 +16,7 @@ FLOPs; the inflation is computed exactly from the demand walk.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -232,15 +233,16 @@ def even_shares(count: int) -> Tuple[float, ...]:
 def rows_from_shares(height: int, shares: Sequence[float]) -> List[Tuple[int, int]]:
     """Split ``height`` rows into contiguous bands proportional to shares.
 
-    Zero-row bands are dropped.  Shares must be positive; they are
-    normalised internally.
+    Zero-row bands are dropped.  Shares must be finite and
+    non-negative with a positive sum; they are normalised internally.
     """
     if height < 1:
         raise PartitionError(f"cannot split {height} rows")
     if not shares:
         raise PartitionError("no shares given")
-    if any(share < 0 for share in shares):
-        raise PartitionError(f"negative share in {shares}")
+    for share in shares:
+        if not (math.isfinite(share) and share >= 0):
+            raise PartitionError(f"share {share!r} in {shares} is negative or not finite")
     total = sum(shares)
     if total <= 0:
         raise PartitionError(f"shares sum to zero: {shares}")
@@ -289,12 +291,15 @@ def make_data_partition_from_shares(
     if use_memo:
         per_graph = _PARTITIONS.setdefault(graph, OrderedDict())
         key = (tuple(shares), seg_range, band)
-        hit = _lru_lookup(per_graph, key)
+        hit = per_graph.get(key)
         if hit is not None:
+            per_graph.move_to_end(key)
             return hit
     partition = _make_data_partition_from_shares(graph, shares, segments, seg_range, band)
     if use_memo:
-        _lru_store(per_graph, key, partition, _PARTITIONS_MAX)
+        per_graph[key] = partition
+        if len(per_graph) > _PARTITIONS_MAX:
+            per_graph.popitem(last=False)
     return partition
 
 
@@ -329,62 +334,38 @@ def _make_data_partition_from_shares(
         (band_lo_limit + b_lo, band_lo_limit + b_hi)
         for b_lo, b_hi in rows_from_shares(band_hi_limit - band_lo_limit, shares)
     ]
-    # The vectorized tile pricing caches per-layer arrays and per-band
-    # results on the graph; range indices are only meaningful against
-    # the graph's own memoised chain, hence the identity check.
-    use_fast = fastpath_enabled() and segs is graph.segments()
-    if not use_fast:
+    # Halo-table row indices are only meaningful against the graph's
+    # own memoised chain, hence the identity check.
+    if fastpath_enabled() and segs is graph.segments():
+        priced = _price_bands(graph, prefix_end, entry_layer, bands)
+    else:
         prefix_layer_names = [name for seg in prefix_segs for name in seg.layer_names]
-        layer_set = set(prefix_layer_names) | {entry_layer}
-
-    tiles: List[TileSpec] = []
-    for index, (band_lo, band_hi) in enumerate(bands):
-        if use_fast:
-            flops, by_class, in_lo, in_hi = _tile_costs_fast(
-                graph, segs, prefix_lo, prefix_hi, prefix_end, entry_layer, band_lo, band_hi
-            )
-        else:
-            demands = graph.demand_rows(prefix_end, band_lo, band_hi, stop_layer=entry_layer)
-            flops = 0
-            by_class = {cls: 0 for cls in LAYER_CLASSES}
-            for name in prefix_layer_names:
-                if name not in demands:
-                    continue
-                rows_lo, rows_hi = graph.clamp_rows(name, demands[name])
-                height = graph.spec(name).height
-                share = (rows_hi - rows_lo) / height
-                layer_flops = int(round(graph.layer_flops(name) * share))
-                flops += layer_flops
-                cls = graph.layer(name).layer_class
-                by_class[cls] = by_class.get(cls, 0) + layer_flops
-            missing = [n for n in demands if n not in layer_set]
-            if missing:
-                raise PartitionError(
-                    f"{graph.name}: demand walk escaped the segment range via {missing[:3]}"
-                )
-            in_lo, in_hi = graph.clamp_rows(entry_layer, demands[entry_layer])
-        entry_spec = graph.spec(entry_layer)
-        tiles.append(
-            TileSpec(
-                index=index,
-                out_lo=band_lo,
-                out_hi=band_hi,
-                in_lo=in_lo,
-                in_hi=in_hi,
-                flops=flops,
-                flops_by_class=by_class,
-                input_bytes=entry_spec.rows_bytes(in_hi - in_lo),
-                output_bytes=out_spec.rows_bytes(band_hi - band_lo),
-            )
+        priced = [
+            _price_band_reference(graph, prefix_layer_names, prefix_end, entry_layer, band)
+            for band in bands
+        ]
+    entry_spec = graph.spec(entry_layer)
+    tiles = tuple(
+        TileSpec(
+            index=index,
+            out_lo=band_lo,
+            out_hi=band_hi,
+            in_lo=in_lo,
+            in_hi=in_hi,
+            flops=flops,
+            flops_by_class=by_class,
+            input_bytes=entry_spec.rows_bytes(in_hi - in_lo),
+            output_bytes=out_spec.rows_bytes(band_hi - band_lo),
         )
+        for index, ((band_lo, band_hi), (flops, by_class, in_lo, in_hi)) in enumerate(
+            zip(bands, priced)
+        )
+    )
 
     include_tail = band == (0, out_spec.height)
-    tail_segs = segs[prefix_hi + 1 : hi + 1] if include_tail else []
-    tail_by_class = {cls: 0 for cls in LAYER_CLASSES}
-    for seg in tail_segs:
-        for cls, flops in seg.flops_by_class.items():
-            tail_by_class[cls] = tail_by_class.get(cls, 0) + flops
-    tail_flops = sum(seg.flops for seg in tail_segs)
+    tail = aggregate_block(segs, prefix_hi + 1, hi) if include_tail and hi > prefix_hi else None
+    tail_flops = tail.flops if tail else 0
+    tail_by_class = tail.flops_by_class if tail else {cls: 0 for cls in LAYER_CLASSES}
     band_fraction = (band_hi_limit - band_lo_limit) / out_spec.height
     base = int(sum(seg.flops for seg in prefix_segs) * band_fraction) + tail_flops
     return DataPartition(
@@ -393,7 +374,7 @@ def _make_data_partition_from_shares(
         seg_hi=hi,
         prefix_end=prefix_end,
         entry_layer=entry_layer,
-        tiles=tuple(tiles),
+        tiles=tiles,
         tail_flops=tail_flops,
         tail_flops_by_class=tail_by_class,
         prefix_out_spec=out_spec,
@@ -413,110 +394,63 @@ def make_data_partition(
     )
 
 
-#: Per-graph caches for the vectorized tile pricing.  Keys are ranges
-#: into the graph's memoised segment chain, so entries stay valid for
-#: the graph's lifetime; weak keys let throwaway graphs be collected
-#: and the per-graph LRU bounds keep long-lived serving processes from
-#: accumulating bands indefinitely.
-_PREFIX_ARRAYS: "WeakKeyDictionary[DNNGraph, OrderedDict]" = WeakKeyDictionary()
-_PREFIX_ARRAYS_MAX = 128
-_TILE_COSTS: "WeakKeyDictionary[DNNGraph, OrderedDict]" = WeakKeyDictionary()
-_TILE_COSTS_MAX = 4096
-
-
 def clear_partition_memos() -> None:
-    """Drop the module-level partition memos (assembled partitions,
-    per-layer arrays, tile costs).  Benchmarks call this between
-    measurements so a warmed memo from one configuration cannot
-    subsidise another."""
+    """Drop the module-level memo of assembled partitions.  Benchmarks
+    call this between measurements so a warmed memo from one
+    configuration cannot subsidise another.  The graph's halo tables
+    are structural and stay."""
     _PARTITIONS.clear()
-    _PREFIX_ARRAYS.clear()
-    _TILE_COSTS.clear()
 
 
-def _lru_lookup(per_graph: "OrderedDict", key):
-    entry = per_graph.get(key)
-    if entry is not None:
-        per_graph.move_to_end(key)
-    return entry
-
-
-def _lru_store(per_graph: "OrderedDict", key, entry, max_entries: int) -> None:
-    per_graph[key] = entry
-    if len(per_graph) > max_entries:
-        per_graph.popitem(last=False)
-
-
-def _prefix_arrays(graph: DNNGraph, segs: Sequence[Segment], prefix_lo: int, prefix_hi: int):
-    """Cached per-layer (names, heights, flops, class codes) arrays for
-    the layers of segments ``[prefix_lo..prefix_hi]``."""
-    per_graph = _PREFIX_ARRAYS.setdefault(graph, OrderedDict())
-    key = (prefix_lo, prefix_hi)
-    entry = _lru_lookup(per_graph, key)
-    if entry is None:
-        names = tuple(
-            name for seg in segs[prefix_lo : prefix_hi + 1] for name in seg.layer_names
+def _price_bands(
+    graph: DNNGraph, prefix_end: str, entry_layer: str, bands: Sequence[Tuple[int, int]]
+) -> List[Tuple[int, Dict[str, int], int, int]]:
+    """Halo-inflated ``(flops, by_class, in_lo, in_hi)`` of every band
+    at once, gathered from the graph's halo table of the prefix.
+    Numerically identical to :func:`_price_band_reference`: the same
+    clamped rows, ``share = rows / height`` and round-half-even run on a
+    ``(bands, layers)`` array, and every sum is an exact integer sum."""
+    table = graph.halo_table(prefix_end, entry_layer)
+    if table.escaped:
+        raise PartitionError(
+            f"{graph.name}: demand walk escaped the segment range via {list(table.escaped[:3])}"
         )
-        heights = np.array([graph.spec(name).height for name in names], dtype=np.int64)
-        layer_flops = np.array([graph.layer_flops(name) for name in names], dtype=np.float64)
-        class_code = {cls: code for code, cls in enumerate(LAYER_CLASSES)}
-        codes = np.array(
-            [class_code[graph.layer(name).layer_class] for name in names], dtype=np.int64
+    rows_lo, rows_hi = table.rows(bands)
+    tile_flops = np.rint(table.work_flops * ((rows_hi - rows_lo) / table.heights)).astype(np.int64)
+    entry = table.names.index(entry_layer)  # column 0: nothing precedes it
+    return [
+        (sum(by_class), dict(zip(LAYER_CLASSES, by_class)), in_lo, in_hi)
+        for by_class, in_lo, in_hi in zip(
+            (tile_flops @ table.class_onehot).tolist(),
+            rows_lo[:, entry].tolist(),
+            rows_hi[:, entry].tolist(),
         )
-        entry = (names, frozenset(names), heights, layer_flops, codes)
-        _lru_store(per_graph, key, entry, _PREFIX_ARRAYS_MAX)
-    return entry
+    ]
 
 
-def _tile_costs_fast(
-    graph: DNNGraph,
-    segs: Sequence[Segment],
-    prefix_lo: int,
-    prefix_hi: int,
-    prefix_end: str,
-    entry_layer: str,
-    band_lo: int,
-    band_hi: int,
-) -> Tuple[int, Dict[str, int], int, int]:
-    """Vectorized halo-inflated tile pricing: (flops, by_class, in_lo, in_hi).
-
-    Numerically identical to the per-layer Python loop: the same clamp
-    / ``share = rows / height`` / round-half-even arithmetic runs on
-    float64 arrays, and all accumulations are exact integer sums.
-    Results are memoised per (range, band) on the graph.
-    """
-    cache = _TILE_COSTS.setdefault(graph, OrderedDict())
-    key = (prefix_lo, prefix_hi, entry_layer, band_lo, band_hi)
-    hit = _lru_lookup(cache, key)
-    if hit is not None:
-        flops, by_class, in_lo, in_hi = hit
-        return flops, dict(by_class), in_lo, in_hi
-    names, names_set, heights, layer_flops, codes = _prefix_arrays(
-        graph, segs, prefix_lo, prefix_hi
-    )
-    demands = graph.demand_rows(prefix_end, band_lo, band_hi, stop_layer=entry_layer)
-    rows_lo = np.zeros(len(names), dtype=np.int64)
-    rows_hi = np.zeros(len(names), dtype=np.int64)
-    for idx, name in enumerate(names):
-        demand = demands.get(name)
-        if demand is not None:  # absent layers keep a zero-row (no-op) range
-            rows_lo[idx] = demand[0]
-            rows_hi[idx] = demand[1]
-    missing = [n for n in demands if n not in names_set and n != entry_layer]
+def _price_band_reference(graph, prefix_layer_names, prefix_end, entry_layer, band):
+    """One band's ``(flops, by_class, in_lo, in_hi)`` from a plain
+    demand walk, layer by layer (the ``REPRO_DSE_FASTPATH=0`` arm)."""
+    demands = graph.demand_rows(prefix_end, *band, stop_layer=entry_layer)
+    flops = 0
+    by_class = {cls: 0 for cls in LAYER_CLASSES}
+    for name in prefix_layer_names:
+        if name not in demands:
+            continue
+        rows_lo, rows_hi = graph.clamp_rows(name, demands[name])
+        share = (rows_hi - rows_lo) / graph.spec(name).height
+        layer_flops = int(round(graph.layer_flops(name) * share))
+        flops += layer_flops
+        cls = graph.layer(name).layer_class
+        by_class[cls] = by_class.get(cls, 0) + layer_flops
+    layer_set = set(prefix_layer_names)
+    missing = [n for n in demands if n not in layer_set and n != entry_layer]
     if missing:
         raise PartitionError(
             f"{graph.name}: demand walk escaped the segment range via {missing[:3]}"
         )
-    clamped_lo = np.maximum(rows_lo, 0)
-    clamped_hi = np.minimum(rows_hi, heights)
-    share = (clamped_hi - clamped_lo) / heights
-    tile_flops = np.rint(layer_flops * share).astype(np.int64)
-    flops = int(tile_flops.sum())
-    per_class = np.bincount(codes, weights=tile_flops, minlength=len(LAYER_CLASSES))
-    by_class = {cls: int(per_class[code]) for code, cls in enumerate(LAYER_CLASSES)}
     in_lo, in_hi = graph.clamp_rows(entry_layer, demands[entry_layer])
-    _lru_store(cache, key, (flops, by_class, in_lo, in_hi), _TILE_COSTS_MAX)
-    return flops, dict(by_class), in_lo, in_hi
+    return flops, by_class, in_lo, in_hi
 
 
 def _entry_layer(graph: DNNGraph, segments: Sequence[Segment], seg_lo: int) -> str:

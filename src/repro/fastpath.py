@@ -5,8 +5,9 @@ implementation and a pure-Python reference that is kept as the
 executable specification:
 
 - ``REPRO_DSE_FASTPATH=0`` forces the reference DP/DSE kernels: the
-  numpy kernels in :mod:`repro.core.dp`, the vectorized tile pricing in
-  :mod:`repro.dnn.partition` and the batched staged local search in
+  numpy kernels in :mod:`repro.core.dp`, the halo-table tile pricing in
+  :mod:`repro.dnn.partition` (the reference walks each band with
+  ``DNNGraph.demand_rows``) and the batched staged local search in
   :mod:`repro.core.local_partitioner` all gate on
   :func:`fastpath_enabled`.
 - ``REPRO_SIM_FASTPATH=0`` forces the reference simulation engine:

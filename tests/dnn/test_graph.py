@@ -170,6 +170,11 @@ class TestDemandRows:
         with pytest.raises(GraphError):
             tiny_cnn.demand_rows("nope", 0, 1)
 
+    @pytest.mark.parametrize("band", [(5, 2), (3, 3)])
+    def test_inverted_or_empty_band_raises(self, tiny_cnn, band):
+        with pytest.raises(GraphError):
+            tiny_cnn.demand_rows("predictions", *band)
+
     def test_clamp_rows(self, tiny_cnn):
         assert tiny_cnn.clamp_rows("input", (-3, 100)) == (0, 32)
 

@@ -49,6 +49,15 @@ class TestRowsFromShares:
         with pytest.raises(PartitionError):
             rows_from_shares(8, [0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_share_is_a_partition_error_naming_it(self, bad):
+        with pytest.raises(PartitionError, match=repr(bad)):
+            rows_from_shares(10, [bad, 1.0])
+
+    def test_non_finite_share_stays_inside_the_partition_guards(self, tiny_cnn):
+        with pytest.raises(PartitionError):
+            make_data_partition_from_shares(tiny_cnn, [float("nan"), 1.0])
+
     def test_even_shares(self):
         assert even_shares(4) == (0.25, 0.25, 0.25, 0.25)
         with pytest.raises(PartitionError):
