@@ -13,7 +13,7 @@ Two sections, same old-vs-new methodology as ``BENCH_dse.json``:
    configuration -- reference paths (``REPRO_SIM_FASTPATH=0`` +
    ``REPRO_DSE_FASTPATH=0``: the reference engine drain with every
    memo store off, and the pure-Python DSE, with full traces) and fast
-   paths (optimized engine + batched staged search), plus a fast run
+   paths (optimized engine + shared staged search), plus a fast run
    with ``trace_level="aggregate"``.  All three must produce
    byte-identical schedules: same per-request dispatch/completion
    times, same scheduled-event count, same busy intervals (full-trace
@@ -191,7 +191,7 @@ def test_bench_engine_events_per_second_gate():
             "the 4-shard scheduler: reference paths cold (REPRO_SIM_FASTPATH=0 "
             "+ REPRO_DSE_FASTPATH=0, full traces -- the reference engine "
             "drain with the memo stores off, and the reference DSE) vs the "
-            "optimized engine + batched staged search with warm plan-level "
+            "optimized engine + shared staged search with warm plan-level "
             "caches and aggregate traces "
             "(steady state).  Schedules are asserted byte-identical across "
             "all configurations before timing."

@@ -61,13 +61,18 @@ class ExecutorModel:
     dispatch_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.comm_bytes_s <= 0:
-            raise ValueError(f"{self.ident}: non-positive comm rate")
-        if self.fixed_s < 0 or self.dispatch_s < 0:
-            raise ValueError(f"{self.ident}: negative fixed/dispatch cost")
+        # Written as ``not (x > 0)`` so NaN fails every check.
+        if not self.comm_bytes_s > 0:
+            raise ValueError(
+                f"{self.ident}: comm_bytes_s must be positive, got {self.comm_bytes_s}"
+            )
+        for field in ("fixed_s", "dispatch_s"):
+            value = getattr(self, field)
+            if not 0 <= value < float("inf"):
+                raise ValueError(f"{self.ident}: {field} must be finite and >= 0, got {value}")
         for cls, rate in self.rates.items():
-            if rate <= 0:
-                raise ValueError(f"{self.ident}: non-positive rate for {cls}")
+            if not rate > 0:
+                raise ValueError(f"{self.ident}: rates[{cls!r}] must be positive, got {rate}")
 
     def compute_seconds(self, flops_by_class: Mapping[str, int], num_ops: int = 0) -> float:
         seconds = num_ops * self.dispatch_s
@@ -339,11 +344,11 @@ def _shares_geometry(quanta: int) -> Tuple:
     geometry = _SHARES_GEOMETRY.get(quanta)
     if geometry is None:
         r_idx = np.arange(quanta + 1)
-        rel = r_idx[:, None] - r_idx[None, :]  # [r, q] = remaining after giving q
-        valid = rel >= 0
-        rel_clipped = np.where(valid, rel, 0)
+        # [r, q] = units left after giving q; a negative count indexes
+        # the +inf padding behind a best row.
+        rel = r_idx[:, None] - r_idx[None, :]
         shares_vec = r_idx.astype(np.float64) / quanta
-        geometry = (r_idx, valid, rel_clipped, shares_vec)
+        geometry = (r_idx, rel, shares_vec)
         _SHARES_GEOMETRY[quanta] = geometry
     return geometry
 
@@ -381,7 +386,7 @@ def _data_shares_dp_numpy_batch(
         raise ValueError("no executors")
     count = len(executors)
     num_items = len(items)
-    r_idx, valid, rel_clipped, shares_vec = _shares_geometry(quanta)
+    r_idx, rel, shares_vec = _shares_geometry(quanta)
     if inflation is _no_inflation:
         # inflation(share) * share == 1.0 * share == share exactly.
         weight = shares_vec
@@ -397,36 +402,50 @@ def _data_shares_dp_numpy_batch(
     num_ops_arr = np.array([item[2] for item in items], dtype=np.float64)
     # T[c, i]: full-workload compute time of item c on executor i.
     full_compute = _compute_matrix([item[0] for item in items], np.zeros(num_items), executors)
-    finish = np.empty((num_items, count, quanta + 1), dtype=np.float64)
-    for i, executor in enumerate(executors):
-        comm = (shares_vec[None, :] * in_bytes_arr[:, None]) / executor.comm_bytes_s
-        base = executor.fixed_s + num_ops_arr * executor.dispatch_s
-        rows = (base[:, None] + comm) + weight[None, :] * full_compute[:, i][:, None]
-        rows[:, 0] = 0.0  # zero units: no work, no cost
-        finish[:, i, :] = rows
+    comm_rates = np.array([executor.comm_bytes_s for executor in executors])
+    fixed = np.array([executor.fixed_s for executor in executors])
+    dispatch = np.array([executor.dispatch_s for executor in executors])
+    # finish[c, i, q], every (item, executor) row at once.
+    comm = (shares_vec[None, :] * in_bytes_arr[:, None])[:, None, :] / comm_rates[:, None]
+    base = fixed + num_ops_arr[:, None] * dispatch
+    finish = (base[:, :, None] + comm) + weight * full_compute[:, :, None]
+    finish[:, :, 0] = 0.0  # zero units: no work, no cost
 
     INF = float("inf")
     # best[c, r] for executors i.. ; rolls backwards exactly like the
-    # reference's best[i+1] row, for every item at once.
-    best = np.full((num_items, quanta + 1), INF)
-    best[:, 0] = 0.0
+    # reference's best[i+1] row, for every item at once.  The last
+    # executor must take all r remaining units (every other q leaves a
+    # +inf rest), so its sweep is closed-form: the first argmin of a
+    # row that is +inf except at q = r is r, or 0 when that is +inf too.
+    best = np.maximum(finish[:, count - 1, :], 0.0)
     choices = np.empty((count, num_items, quanta + 1), dtype=np.int64)
-    for i in range(count - 1, -1, -1):
-        rest = np.where(valid, best[:, rel_clipped], INF)  # (c, r, q)
-        cand = np.maximum(finish[:, i, :][:, None, :], rest)
-        choices[i] = np.argmin(cand, axis=2)  # first minimum == smallest q
+    choices[count - 1] = np.where(best == INF, 0, r_idx)
+    padded = np.full((num_items, 2 * quanta + 1), INF)
+    for i in range(count - 2, 0, -1):
+        padded[:, : quanta + 1] = best
+        rest = padded[:, rel]  # (c, r, q)
+        cand = np.maximum(finish[:, i, None, :], rest, out=rest)
+        choices[i] = cand.argmin(axis=2)  # first minimum == smallest q
         best = cand.min(axis=2)  # the same float the first argmin points at
+    if count > 1:
+        # The backtrack reads only row r = quanta of the first executor.
+        cand = np.maximum(finish[:, 0, :], best[:, ::-1])  # rest = best[quanta - q]
+        choices[0, :, quanta] = np.argmin(cand, axis=1)
+        best = cand.min(axis=1)
+    else:
+        best = best[:, quanta]
 
-    plans: List[SharePlan] = []
-    for c in range(num_items):
-        shares: List[float] = []
-        remaining = quanta
-        for i in range(count):
-            q = int(choices[i, c, remaining])
-            shares.append(q / quanta)
-            remaining -= q
-        plans.append(SharePlan(shares=tuple(shares), makespan_s=float(best[c, quanta])))
-    return plans
+    items_idx = np.arange(num_items)
+    remaining = np.full(num_items, quanta)
+    units = np.empty((num_items, count), dtype=np.int64)
+    for i in range(count):
+        units[:, i] = choices[i, items_idx, remaining]
+        remaining -= units[:, i]
+    shares_rows = (units / quanta).tolist()
+    return [
+        SharePlan(shares=tuple(shares), makespan_s=makespan)
+        for shares, makespan in zip(shares_rows, best.tolist())
+    ]
 
 
 def data_shares_greedy(

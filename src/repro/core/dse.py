@@ -17,6 +17,12 @@ submodels sigma" -- identical machinery at the global tier (executors =
 devices, comm = beta) and the local tier (executors = processors,
 comm = mu).
 
+:func:`explore_data_exchange` runs the same search with per-layer halo
+exchange instead of recomputation; it is the local tier's staged split.
+:class:`StagedExchangeSearch` keeps those per-stage decisions for one
+range end, computes each the first time a stage reads it, and serves
+every piece that ends there.
+
 :func:`exchange_costs` prices the alternative MoDNN-style semantics --
 full-depth row bands with per-layer halo *exchange* instead of
 recomputation -- used by the MoDNN baseline.
@@ -25,6 +31,7 @@ recomputation -- used by the MoDNN baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
@@ -102,7 +109,8 @@ def _data_share_items(
 
     Separated from :func:`explore_data` so batched callers can gather
     the items of *many* searches and price them in a single
-    :func:`data_shares_dp_batch` sweep.
+    :func:`data_shares_dp_batch` sweep; :func:`explore_data_exchange`
+    prices the same items.
     """
     lo, _ = seg_range
     cuts = candidate_cuts(graph, segments, seg_range, max_cuts, table=table)
@@ -371,51 +379,32 @@ def _exchange_equiv_bytes_walk(
     return halo_bytes + int(2 * events * latency_s * bandwidth_bytes_s)
 
 
-def _exchange_share_items(
-    graph: DNNGraph,
-    segments: Sequence[Segment],
-    seg_range: Tuple[int, int],
-    max_cuts: int,
-    table: SegmentTable,
-) -> Tuple[List[int], List[Tuple[Dict[str, int], int, int]]]:
-    """The (valid cuts, share-DP workload items) of one exchange search.
-
-    Separated from :func:`explore_data_exchange` so the staged local
-    search can gather the items of *every* reachable stage start and
-    price them in a single :func:`data_shares_dp_batch` sweep
-    (:class:`StagedExchangeSearch`).
-    """
-    lo, _ = seg_range
-    cuts = candidate_cuts(graph, segments, seg_range, max_cuts, table=table)
-    valid_cuts = [cut for cut in cuts if table.range_flops_total(lo, cut) != 0]
-    entry_bytes = segments[lo].in_spec.size_bytes if segments else 0
-    items = [
-        (
-            table.range_flops(lo, cut),
-            entry_bytes + segments[cut].out_spec.size_bytes,
-            table.range_ops(lo, cut),
-        )
-        for cut in valid_cuts
-    ]
-    return valid_cuts, items
-
-
-def _select_exchange_decision(
+def explore_data_exchange(
     graph: DNNGraph,
     segments: Sequence[Segment],
     seg_range: Tuple[int, int],
     executors: Sequence[ExecutorModel],
-    valid_cuts: Sequence[int],
-    items: Sequence[Tuple[Dict[str, int], int, int]],
-    share_plans: Sequence["SharePlan"],
     intra_latency_s: float,
     intra_bw_bytes_s: float,
-    tail_seconds: Optional[Callable[[Tuple[int, int]], float]],
-    min_sigma: int,
-    table: SegmentTable,
+    quanta: int = 10,
+    tail_seconds: Optional[Callable[[Tuple[int, int]], float]] = None,
+    max_cuts: int = 10,
+    min_sigma: int = 2,
+    table: Optional[SegmentTable] = None,
 ) -> Optional[ExchangeDecision]:
-    """Pick the best exchange decision from priced candidate cuts."""
+    """Best intra-device data split with per-layer halo exchange.
+
+    Same (depth, sigma, shares) search as :func:`explore_data`, but
+    tiles stay resident through the chunk and swap halo rows over the
+    memory fabric instead of recomputing them -- the semantics that
+    makes thin CPU tiles viable on small feature maps.
+    """
+    if table is None:
+        table = SegmentTable(segments)
     lo, hi = seg_range
+    valid_cuts, items = _data_share_items(graph, segments, seg_range, max_cuts, table)
+    # One batched share-DP sweep prices every candidate cut at once.
+    share_plans = data_shares_dp_batch(items, executors, quanta=quanta)
     if tail_seconds is None:
 
         def tail_seconds(tail_range: Tuple[int, int]) -> float:
@@ -469,57 +458,23 @@ def _select_exchange_decision(
     return best
 
 
-def explore_data_exchange(
-    graph: DNNGraph,
-    segments: Sequence[Segment],
-    seg_range: Tuple[int, int],
-    executors: Sequence[ExecutorModel],
-    intra_latency_s: float,
-    intra_bw_bytes_s: float,
-    quanta: int = 10,
-    tail_seconds: Optional[Callable[[Tuple[int, int]], float]] = None,
-    max_cuts: int = 10,
-    min_sigma: int = 2,
-    table: Optional[SegmentTable] = None,
-) -> Optional[ExchangeDecision]:
-    """Best intra-device data split with per-layer halo exchange.
-
-    Same (depth, sigma, shares) search as :func:`explore_data`, but
-    tiles stay resident through the chunk and swap halo rows over the
-    memory fabric instead of recomputing them -- the semantics that
-    makes thin CPU tiles viable on small feature maps.
-    """
-    if table is None:
-        table = SegmentTable(segments)
-    valid_cuts, items = _exchange_share_items(graph, segments, seg_range, max_cuts, table)
-    # One batched share-DP sweep prices every candidate cut at once.
-    share_plans = data_shares_dp_batch(items, executors, quanta=quanta)
-    return _select_exchange_decision(
-        graph, segments, seg_range, executors, valid_cuts, items, share_plans,
-        intra_latency_s, intra_bw_bytes_s, tail_seconds, min_sigma, table,
-    )
-
-
 class StagedExchangeSearch:
-    """Batched pricing for the staged (chunk-wise) local data search.
+    """The staged local search's per-stage decisions for one range end.
 
     The staged search consumes a segment range front to back: each
     stage picks a depth cut for the remaining range ``[start..hi]`` and
-    recurses on the tail ``[cut+1..hi]``.  Run per stage, every
-    iteration pays one share-DP sweep; this helper instead walks the
-    *reachable stage starts* up front (breadth-first over candidate
-    cuts, bounded by ``max_stages``), prices every (start, cut) item in
-    a single :func:`data_shares_dp_batch` sweep, and then resolves each
-    visited start's decision lazily from the pre-priced plans --
-    byte-identical to per-stage :func:`explore_data_exchange` calls,
-    because each item's DP is independent of its batch neighbours.
+    recurses on the tail ``[cut+1..hi]``.  That decision is
+    ``explore_data_exchange(graph, segments, (start, hi), ...)``; it
+    does not depend on where the consumed range began, so one search
+    serves every piece that ends at ``hi`` on the same executors.  A
+    decision is computed the first time a stage reads it and kept.
     """
 
     def __init__(
         self,
         graph: DNNGraph,
         segments: Sequence[Segment],
-        seg_range: Tuple[int, int],
+        hi: int,
         executors: Sequence[ExecutorModel],
         intra_latency_s: float,
         intra_bw_bytes_s: float,
@@ -528,80 +483,30 @@ class StagedExchangeSearch:
         max_cuts: int = 10,
         min_sigma: int = 2,
         table: Optional[SegmentTable] = None,
-        max_stages: int = 8,
     ):
-        lo, hi = seg_range
-        if table is None:
-            table = SegmentTable(segments)
-        self._graph = graph
-        self._segments = segments
+        #: Strong reference: keys built from ``id(graph)`` stay unambiguous.
+        self.graph = graph
         self._hi = hi
-        self._executors = executors
-        self._intra_latency_s = intra_latency_s
-        self._intra_bw_bytes_s = intra_bw_bytes_s
-        self._tail_seconds = tail_seconds
-        self._min_sigma = min_sigma
-        self._table = table
-        # Breadth-first reachability: stage k+1 can only start at
-        # ``cut + 1`` for a candidate cut of a stage-k start.
-        gathered: "Dict[int, Tuple[List[int], List[Tuple[Dict[str, int], int, int]]]]" = {}
-        frontier = [lo]
-        seen = {lo}
-        depth = 0
-        while frontier and depth < max_stages:
-            next_frontier: List[int] = []
-            for start in frontier:
-                valid_cuts, items = _exchange_share_items(
-                    graph, segments, (start, hi), max_cuts, table
-                )
-                gathered[start] = (valid_cuts, items)
-                for cut in valid_cuts:
-                    tail_start = cut + 1
-                    if tail_start <= hi and tail_start not in seen:
-                        seen.add(tail_start)
-                        next_frontier.append(tail_start)
-            frontier = next_frontier
-            depth += 1
-        # One sweep prices every (start, cut) pair the loop can visit.
-        all_items = [item for _, items in gathered.values() for item in items]
-        share_plans = data_shares_dp_batch(all_items, executors, quanta=quanta)
-        self._priced: Dict[int, Tuple[List[int], List, List]] = {}
-        offset = 0
-        for start, (valid_cuts, items) in gathered.items():
-            plans = share_plans[offset : offset + len(items)]
-            offset += len(items)
-            self._priced[start] = (valid_cuts, items, plans)
+        self._explore = partial(
+            explore_data_exchange,
+            graph,
+            segments,
+            executors=executors,
+            intra_latency_s=intra_latency_s,
+            intra_bw_bytes_s=intra_bw_bytes_s,
+            quanta=quanta,
+            tail_seconds=tail_seconds,
+            max_cuts=max_cuts,
+            min_sigma=min_sigma,
+            table=SegmentTable(segments) if table is None else table,
+        )
         self._decisions: Dict[int, Optional[ExchangeDecision]] = {}
 
     def decide(self, start: int) -> Optional[ExchangeDecision]:
-        """The exchange decision for the remaining range ``[start..hi]``.
-
-        Identical to ``explore_data_exchange(graph, segments, (start,
-        hi), ...)``; selection runs lazily so only visited stage starts
-        pay the (Python-level) cut scan.
-        """
-        if start in self._decisions:
-            return self._decisions[start]
-        priced = self._priced.get(start)
-        if priced is None:
-            raise KeyError(f"stage start {start} was not pre-priced")
-        valid_cuts, items, plans = priced
-        decision = _select_exchange_decision(
-            self._graph,
-            self._segments,
-            (start, self._hi),
-            self._executors,
-            valid_cuts,
-            items,
-            plans,
-            self._intra_latency_s,
-            self._intra_bw_bytes_s,
-            self._tail_seconds,
-            self._min_sigma,
-            self._table,
-        )
-        self._decisions[start] = decision
-        return decision
+        """The exchange decision for the remaining range ``[start..hi]``."""
+        if start not in self._decisions:
+            self._decisions[start] = self._explore((start, self._hi))
+        return self._decisions[start]
 
 
 @dataclass(frozen=True)

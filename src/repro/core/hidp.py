@@ -197,6 +197,14 @@ class HiDPStrategy(Strategy):
         super().__init__()
         if objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}; known: {OBJECTIVES}")
+        for field, value in (
+            ("quanta", quanta),
+            ("local_quanta", local_quanta),
+            ("max_cuts", max_cuts),
+            ("max_pipeline_segments", max_pipeline_segments),
+        ):
+            if value < 1:
+                raise ValueError(f"{field} must be >= 1, got {value}")
         self.quanta = quanta
         self.local_quanta = local_quanta
         self.aggregation = aggregation
@@ -214,6 +222,7 @@ class HiDPStrategy(Strategy):
         self._local_memo: "OrderedDict[Tuple, Tuple[DNNGraph, str, LocalDecision]]" = (
             OrderedDict()
         )
+        self._local_partitioners: Dict[Tuple, LocalPartitioner] = {}
         #: Observability counters for the serving bench / tests.
         self.local_searches = 0
         self.local_shared = 0
@@ -224,12 +233,22 @@ class HiDPStrategy(Strategy):
     # Local tier -----------------------------------------------------------
 
     def _local_partitioner(self, device: Device) -> LocalPartitioner:
-        return LocalPartitioner(
-            device,
-            quanta=self.local_quanta,
-            enable_data=self.local_data,
-            enable_pipeline=self.local_pipeline,
-        )
+        """The one local partitioner of a device's hardware.
+
+        A partitioner reads only its device's processors and memory
+        fabric, which the signature holds, so twin boards share one
+        (and its staged searches)."""
+        signature = device_local_signature(device)
+        partitioner = self._local_partitioners.get(signature)
+        if partitioner is None:
+            partitioner = LocalPartitioner(
+                device,
+                quanta=self.local_quanta,
+                enable_data=self.local_data,
+                enable_pipeline=self.local_pipeline,
+            )
+            self._local_partitioners[signature] = partitioner
+        return partitioner
 
     def _local_single_default(
         self,

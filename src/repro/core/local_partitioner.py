@@ -16,11 +16,12 @@ communication vector ``psi{lambda, mu}`` instead of ``Psi``.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.dp import ExecutorModel, data_shares_dp, pipeline_cuts_dp, scale_flops
-from repro.core.dse import StagedExchangeSearch, explore_data_exchange
+from repro.core.dse import StagedExchangeSearch
 from repro.fastpath import fastpath_enabled
 from repro.core.plans import (
     LOCAL_DATA,
@@ -86,6 +87,8 @@ class LocalPartitioner:
         max_stages: int = 8,
         processors: Optional[Sequence[str]] = None,
     ):
+        if quanta < 1:
+            raise ValueError(f"quanta must be >= 1, got {quanta}")
         self.device = device
         self.quanta = quanta
         self.enable_data = enable_data
@@ -101,6 +104,11 @@ class LocalPartitioner:
             cls: sum(proc.rate(cls) for proc in self._procs) for cls in LAYER_CLASSES
         }
         self._min_dispatch_s = min(proc.dispatch_time_s for proc in self._procs)
+        # Staged searches shared across pieces, keyed (id(graph), hi).
+        self._searches: "OrderedDict[Tuple[int, int], StagedExchangeSearch]" = OrderedDict()
+
+    #: Bound on the shared staged searches (one per graph and range end).
+    SEARCHES_MAX = 4096
 
     # Candidate generators -------------------------------------------------
 
@@ -160,31 +168,19 @@ class LocalPartitioner:
         boundary, so halo growth resets; the non-spatial tail becomes a
         final single-task stage on the best processor.
 
-        On the DSE fast path the per-stage search is *batched*: every
-        reachable stage start's candidate cuts are priced in one
-        share-DP sweep up front (:class:`~repro.core.dse.
-        StagedExchangeSearch`) instead of one sweep per stage.
-        Decisions -- and therefore stages and predictions -- are
-        byte-identical to the per-stage reference
-        (``REPRO_DSE_FASTPATH=0``); the randomized equivalence tests in
-        ``tests/core/test_staged_fastpath.py`` enforce this.
+        A stage's decision depends only on its start and the range end
+        ``hi``, not on where the piece began.  On the DSE fast path the
+        decisions come from one :class:`~repro.core.dse.
+        StagedExchangeSearch` per (graph, ``hi``), kept on this
+        partitioner and shared by every piece that ends at ``hi``
+        (model blocks, data tails, whole-model pieces); each decision
+        is computed the first time a stage reads it.  The reference arm
+        (``REPRO_DSE_FASTPATH=0``) builds one unshared search per
+        piece; ``tests/core/test_staged_fastpath.py`` pins the two arms
+        to byte-identical decisions.
         """
         if fastpath_enabled():
-            search = StagedExchangeSearch(
-                graph,
-                segments,
-                seg_range,
-                self._models,
-                intra_latency_s=self.device.intra_latency_s,
-                intra_bw_bytes_s=self.device.intra_bw_bytes_s,
-                quanta=self.quanta,
-                tail_seconds=lambda tail_range: self._parallel_tail_estimate(
-                    table, tail_range
-                ),
-                min_sigma=2,
-                table=table,
-                max_stages=self.max_stages,
-            )
+            search = self._shared_search(graph, segments, seg_range[1], table)
             return self._staged_core(graph, segments, seg_range, label, table, search.decide)
         return self._staged_reference(graph, segments, seg_range, label, table)
 
@@ -196,27 +192,50 @@ class LocalPartitioner:
         label: str,
         table: SegmentTable,
     ) -> Optional[LocalDecision]:
-        """Per-stage search (the seed behaviour, kept as the executable
-        spec): one :func:`explore_data_exchange` sweep per emitted
-        stage."""
+        """Per-piece search (the seed behaviour, kept as the executable
+        spec): one :func:`~repro.core.dse.explore_data_exchange` sweep
+        per emitted stage, shared with no other piece."""
+        search = self._staged_search(graph, segments, seg_range[1], table)
+        return self._staged_core(graph, segments, seg_range, label, table, search.decide)
 
-        def decide(current: int):
-            return explore_data_exchange(
-                graph,
-                segments,
-                (current, seg_range[1]),
-                self._models,
-                intra_latency_s=self.device.intra_latency_s,
-                intra_bw_bytes_s=self.device.intra_bw_bytes_s,
-                quanta=self.quanta,
-                tail_seconds=lambda tail_range: self._parallel_tail_estimate(
-                    table, tail_range
-                ),
-                min_sigma=2,
-                table=table,
-            )
+    def _staged_search(
+        self, graph: DNNGraph, segments: Sequence[Segment], hi: int, table: SegmentTable
+    ) -> StagedExchangeSearch:
+        return StagedExchangeSearch(
+            graph,
+            segments,
+            hi,
+            self._models,
+            intra_latency_s=self.device.intra_latency_s,
+            intra_bw_bytes_s=self.device.intra_bw_bytes_s,
+            quanta=self.quanta,
+            tail_seconds=lambda tail_range: self._parallel_tail_estimate(table, tail_range),
+            min_sigma=2,
+            table=table,
+        )
 
-        return self._staged_core(graph, segments, seg_range, label, table, decide)
+    def _shared_search(
+        self, graph: DNNGraph, segments: Sequence[Segment], hi: int, table: SegmentTable
+    ) -> StagedExchangeSearch:
+        """The search shared by every piece of ``graph`` ending at ``hi``.
+
+        Only the graph's own memoised chain and table are shared: for
+        any other chain the range indices alone are ambiguous, so it
+        gets a fresh search.  A search pins its graph, so the ``id()``
+        in the key cannot be reused while the entry lives.
+        """
+        if segments is not graph.segments() or table is not graph.segment_table():
+            return self._staged_search(graph, segments, hi, table)
+        key = (id(graph), hi)
+        search = self._searches.get(key)
+        if search is not None and search.graph is graph:
+            self._searches.move_to_end(key)
+            return search
+        search = self._staged_search(graph, segments, hi, table)
+        self._searches[key] = search
+        if len(self._searches) > self.SEARCHES_MAX:
+            self._searches.popitem(last=False)
+        return search
 
     def _staged_core(
         self,
@@ -228,7 +247,7 @@ class LocalPartitioner:
         decide,
     ) -> Optional[LocalDecision]:
         """The staged consumption loop, parameterised by the per-stage
-        decision source (batched or per-stage reference)."""
+        decision source (a shared or a per-piece search)."""
         lo, hi = seg_range
         stages: List[Tuple[UnitTask, ...]] = []
         predicted = 0.0

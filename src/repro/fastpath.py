@@ -7,7 +7,7 @@ executable specification:
 - ``REPRO_DSE_FASTPATH=0`` forces the reference DP/DSE kernels: the
   numpy kernels in :mod:`repro.core.dp`, the halo-table tile pricing in
   :mod:`repro.dnn.partition` (the reference walks each band with
-  ``DNNGraph.demand_rows``) and the batched staged local search in
+  ``DNNGraph.demand_rows``) and the shared staged local search in
   :mod:`repro.core.local_partitioner` all gate on
   :func:`fastpath_enabled`.
 - ``REPRO_SIM_FASTPATH=0`` forces the reference simulation engine:

@@ -39,6 +39,33 @@ class TestExecutorModel:
         with pytest.raises(ValueError):
             _executor("e", -1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("comm_bytes_s", float("nan")),
+            ("comm_bytes_s", -1.0),
+            ("fixed_s", float("nan")),
+            ("fixed_s", float("inf")),
+            ("fixed_s", -0.1),
+            ("dispatch_s", float("nan")),
+            ("dispatch_s", float("inf")),
+            ("dispatch_s", -0.1),
+        ],
+    )
+    def test_rejects_non_finite_and_negative_costs(self, field, value):
+        kwargs = {"comm_bytes_s": 1e6, "fixed_s": 0.0, "dispatch_s": 0.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            ExecutorModel(ident="e", rates={"conv": 1e9}, **kwargs)
+
+    @pytest.mark.parametrize("rate", [float("nan"), 0.0, -1.0])
+    def test_rejects_bad_rates(self, rate):
+        with pytest.raises(ValueError, match="rates"):
+            ExecutorModel(ident="e", rates={"conv": 1e9, "fc": rate}, comm_bytes_s=1e6)
+
+    def test_infinite_comm_rate_is_the_data_holder(self):
+        holder = ExecutorModel(ident="e", rates={"conv": 1e9}, comm_bytes_s=float("inf"))
+        assert holder.comm_seconds(10**9) == 0.0
+
     def test_scale_flops(self):
         assert scale_flops({"conv": 100, "pool": 0}, 0.5) == {"conv": 50}
         with pytest.raises(ValueError):

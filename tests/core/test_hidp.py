@@ -125,3 +125,18 @@ class TestAblations:
             full.plan(graph, cluster).predicted_latency_s
             <= narrow.plan(graph, cluster).predicted_latency_s + 0.05
         )
+
+
+class TestParameterValidation:
+    @pytest.mark.parametrize(
+        "field", ["quanta", "local_quanta", "max_cuts", "max_pipeline_segments"]
+    )
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_counts_below_one_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HiDPStrategy(**{field: value})
+
+    def test_minimal_counts_plan(self, cluster):
+        strategy = HiDPStrategy(quanta=1, local_quanta=1, max_cuts=1, max_pipeline_segments=1)
+        plan = strategy.plan(build_model("tiny_cnn"), cluster)
+        assert plan.assignments

@@ -87,6 +87,11 @@ class TestPlanPiece:
         decision = partitioner.plan_piece(graph, (0, len(segments) - 1))
         assert set(decision.execution.processors) == {"gpu_pascal"}
 
+    @pytest.mark.parametrize("quanta", [0, -3])
+    def test_quanta_below_one_rejected(self, tx2, quanta):
+        with pytest.raises(ValueError, match="quanta"):
+            LocalPartitioner(tx2, quanta=quanta)
+
     def test_single_processor_device(self):
         from repro.platform.device import Device
         from repro.platform.power import PowerModel

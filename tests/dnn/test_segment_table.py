@@ -90,10 +90,10 @@ class TestGraphMemoisation:
             graph.segments(), 0, len(table) - 1
         )
 
-    def test_demand_rows_cached_copy_is_safe(self):
+    def test_demand_rows_caller_owns_returned_dict(self):
         graph = build_model("tiny_cnn")
         first = graph.demand_rows(graph.layers[-1].name, 0, 4)
-        first[graph.layers[0].name] = (99, 99)  # callers may mutate their copy
+        first[graph.layers[0].name] = (99, 99)  # each call returns a fresh dict
         second = graph.demand_rows(graph.layers[-1].name, 0, 4)
         assert second[graph.layers[0].name] != (99, 99)
 
