@@ -14,16 +14,25 @@ future PRs can track the perf trajectory, and asserts the fast path is
 at least 5x faster for HiDP on the ResNet-scale graph with a 4-device
 cluster.  Plan equality between the two paths is enforced separately by
 ``tests/core/test_dp_fastpath.py``.
+
+The same artifact records a cold load sweep: each model planned under
+``SWEEP_LOADS`` distinct load vectors, DP memos cleared and a fresh
+strategy at the start of each sweep, on both paths in one process --
+the replan-under-churn pattern the load-invariant pipeline geometry
+memo serves.  The sweep asserts both paths plan identically and
+records their ratio; it has no gate.
 """
 
 import json
 import os
+import random
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
+from repro.core.dp import clear_result_memos
 from repro.core.hidp import HiDPStrategy
 from repro.dnn.models import MODEL_NAMES, build_model
 from repro.platform.cluster import build_cluster
@@ -34,6 +43,8 @@ CLUSTER_SIZES = (2, 4)
 GATE_MODEL = "resnet152"
 GATE_DEVICES = 4
 GATE_MIN_SPEEDUP = 5.0
+SWEEP_LOADS = 8
+SWEEP_REPEATS = 3
 
 
 @pytest.mark.parametrize("model", MODEL_NAMES)
@@ -91,7 +102,61 @@ def _time_fastpath_warm(model, cluster, repeats=5):
     return times
 
 
+def _sweep_loads(cluster, count, seed=0):
+    """``count`` load vectors in distinct load buckets: each device's
+    backlog draws from [0, 0.5) s."""
+    rng = random.Random(seed)
+    loads, keys = [], set()
+    strategy = HiDPStrategy()
+    while len(loads) < count:
+        load = {device.name: rng.uniform(0.0, 0.5) for device in cluster.devices}
+        key = strategy.load_key(load)
+        if key not in keys:
+            keys.add(key)
+            loads.append(load)
+    return loads
+
+
+def _cold_load_sweep(model, cluster, loads, hatch):
+    """Best-of-``SWEEP_REPEATS`` wall-clock of planning ``model`` under
+    every load, memos cleared and a fresh strategy before each sweep,
+    and the plans of the last sweep."""
+    graph = build_model(model, fresh=True)
+    graph.segment_table()
+    best, plans = float("inf"), None
+    with _fastpath_env(hatch):
+        for _ in range(SWEEP_REPEATS):
+            clear_result_memos()
+            strategy = HiDPStrategy()
+            start = time.perf_counter()
+            plans = [strategy.plan(graph, cluster, load=load) for load in loads]
+            best = min(best, time.perf_counter() - start)
+    return best, plans
+
+
+def _cold_load_sweep_rows():
+    cluster = build_cluster(DEVICE_NAMES[:GATE_DEVICES])
+    loads = _sweep_loads(cluster, SWEEP_LOADS)
+    rows = []
+    for model in MODEL_NAMES:
+        old_s, old_plans = _cold_load_sweep(model, cluster, loads, "0")
+        new_s, new_plans = _cold_load_sweep(model, cluster, loads, "1")
+        assert new_plans == old_plans, f"{model}: fast and reference plans differ"
+        rows.append(
+            {
+                "model": model,
+                "devices": GATE_DEVICES,
+                "loads": len(loads),
+                "old_s": old_s,
+                "new_s": new_s,
+                "speedup": old_s / new_s,
+            }
+        )
+    return rows
+
+
 def test_bench_dse_fastpath_regression_gate():
+    sweep = _cold_load_sweep_rows()
     rows = []
     for model in MODEL_NAMES:
         for num_devices in CLUSTER_SIZES:
@@ -126,6 +191,15 @@ def test_bench_dse_fastpath_regression_gate():
             "min_speedup": GATE_MIN_SPEEDUP,
         },
         "results": rows,
+        "cold_load_sweep": {
+            "description": (
+                "Same process: each model planned under distinct load vectors "
+                "with DP memos cleared and a fresh strategy per sweep, "
+                "REPRO_DSE_FASTPATH=0 (old) vs the fast path (new); best of "
+                f"{SWEEP_REPEATS} sweeps; plans asserted equal; no gate."
+            ),
+            "results": sweep,
+        },
     }
     ARTIFACT_PATH.write_text(json.dumps(artifact, indent=2) + "\n")
 
@@ -135,6 +209,12 @@ def test_bench_dse_fastpath_regression_gate():
             f"old {row['old_mean_s'] * 1e3:7.2f} ms  "
             f"new {row['new_mean_s'] * 1e3:6.2f} ms  "
             f"{row['speedup_mean']:.1f}x (min-based {row['speedup_min']:.1f}x)"
+        )
+    for row in sweep:
+        print(
+            f"{row['model']:>16} cold sweep x{row['loads']} loads  "
+            f"old {row['old_s'] * 1e3:7.2f} ms  new {row['new_s'] * 1e3:6.2f} ms  "
+            f"{row['speedup']:.1f}x"
         )
 
     gate = next(

@@ -45,6 +45,7 @@ from repro.dnn.partition import (
     spatial_prefix,
 )
 from repro.dnn.segment_table import SegmentTable
+from repro.fastpath import fastpath_enabled
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,7 @@ def _select_data_decision(
     tail_seconds: Optional[Callable[[Tuple[int, int]], float]],
     min_sigma: int,
     table: SegmentTable,
+    fast: bool,
 ) -> Optional[DataModeDecision]:
     """Pick the best decision from priced candidate cuts (exact tiles)."""
     lo, hi = seg_range
@@ -163,6 +165,7 @@ def _select_data_decision(
                 [share for _, share in active],
                 segments=segments,
                 seg_range=(lo, cut),
+                fast=fast,
             )
         except PartitionError:
             continue
@@ -220,12 +223,13 @@ def explore_data(
     """
     if table is None:
         table = SegmentTable(segments)
+    fast = fastpath_enabled()
     valid_cuts, items = _data_share_items(graph, segments, seg_range, max_cuts, table)
     # One batched share-DP sweep prices every candidate cut at once.
-    share_plans = data_shares_dp_batch(items, executors, quanta=quanta)
+    share_plans = data_shares_dp_batch(items, executors, quanta=quanta, fast=fast)
     return _select_data_decision(
         graph, segments, seg_range, executors, valid_cuts, items, share_plans,
-        tail_seconds, min_sigma, table,
+        tail_seconds, min_sigma, table, fast,
     )
 
 
@@ -259,12 +263,13 @@ def explore_data_batch(
     request.  Results are identical to per-spec :func:`explore_data`
     calls (each item's DP is independent of its batch neighbours).
     """
+    fast = fastpath_enabled()
     gathered = [
         _data_share_items(spec.graph, spec.segments, spec.seg_range, spec.max_cuts, spec.table)
         for spec in specs
     ]
     all_items = [item for _, items in gathered for item in items]
-    share_plans = data_shares_dp_batch(all_items, executors, quanta=quanta)
+    share_plans = data_shares_dp_batch(all_items, executors, quanta=quanta, fast=fast)
     decisions: List[Optional[DataModeDecision]] = []
     offset = 0
     for spec, (valid_cuts, items) in zip(specs, gathered):
@@ -272,8 +277,8 @@ def explore_data_batch(
         offset += len(items)
         decisions.append(
             _select_data_decision(
-                spec.graph, spec.segments, spec.seg_range, executors,
-                valid_cuts, items, plans, spec.tail_seconds, spec.min_sigma, spec.table,
+                spec.graph, spec.segments, spec.seg_range, executors, valid_cuts, items,
+                plans, spec.tail_seconds, spec.min_sigma, spec.table, fast,
             )
         )
     return decisions

@@ -144,12 +144,13 @@ class LocalPartitioner:
         band: Optional[Tuple[int, int]],
         label: str,
         table: SegmentTable,
+        fast: bool,
     ) -> Optional[LocalDecision]:
         if len(self._procs) < 2:
             return None
         if band is not None:
-            return self._data_banded(graph, segments, seg_range, band, label, table)
-        return self._staged(graph, segments, seg_range, label, table)
+            return self._data_banded(graph, segments, seg_range, band, label, table, fast)
+        return self._staged(graph, segments, seg_range, label, table, fast)
 
     def _staged(
         self,
@@ -158,6 +159,7 @@ class LocalPartitioner:
         seg_range: Tuple[int, int],
         label: str,
         table: SegmentTable,
+        fast: bool,
     ) -> Optional[LocalDecision]:
         """Chunk-wise data partitioning (the paper's Fig. 3 local split).
 
@@ -177,9 +179,10 @@ class LocalPartitioner:
         is computed the first time a stage reads it.  The reference arm
         (``REPRO_DSE_FASTPATH=0``) builds one unshared search per
         piece; ``tests/core/test_staged_fastpath.py`` pins the two arms
-        to byte-identical decisions.
+        to byte-identical decisions.  ``fast`` is the hatch as
+        :meth:`plan_piece` read it.
         """
-        if fastpath_enabled():
+        if fast:
             search = self._shared_search(graph, segments, seg_range[1], table)
             return self._staged_core(graph, segments, seg_range, label, table, search.decide)
         return self._staged_reference(graph, segments, seg_range, label, table)
@@ -345,6 +348,7 @@ class LocalPartitioner:
         band: Tuple[int, int],
         label: str,
         table: SegmentTable,
+        fast: bool,
     ) -> Optional[LocalDecision]:
         """Sub-split a received tile band across local processors.
 
@@ -362,7 +366,12 @@ class LocalPartitioner:
         prefix_ops = table.range_ops(prefix_lo, prefix_hi)
         entry_bytes = int(segments[prefix_lo].in_spec.size_bytes * fraction)
         plan = data_shares_dp(
-            band_flops, entry_bytes, self._models, quanta=self.quanta, num_ops=prefix_ops
+            band_flops,
+            entry_bytes,
+            self._models,
+            quanta=self.quanta,
+            num_ops=prefix_ops,
+            fast=fast,
         )
         active = [(idx, share) for idx, share in enumerate(plan.shares) if share > 0]
         if len(active) < 2:
@@ -374,6 +383,7 @@ class LocalPartitioner:
                 segments=segments,
                 seg_range=seg_range,
                 band=band,
+                fast=fast,
             )
         except PartitionError:
             return None
@@ -479,7 +489,9 @@ class LocalPartitioner:
             out_bytes = int(out_bytes * fraction)
         candidates = [self._single(flops, num_ops, in_bytes, out_bytes, label)]
         if self.enable_data:
-            data_candidate = self._data(graph, segs, seg_range, band, label, table)
+            data_candidate = self._data(
+                graph, segs, seg_range, band, label, table, fastpath_enabled()
+            )
             if data_candidate is not None:
                 candidates.append(data_candidate)
         if self.enable_pipeline and band is None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import abc
 import math
 from collections import OrderedDict
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.dp import ExecutorModel
 from repro.core.plans import ExecutionPlan
@@ -79,12 +79,10 @@ def device_executor_models(
         raise ValueError(f"leader index {leader_index} out of range for {len(devices)} devices")
     models = []
     for index, device in enumerate(devices):
-        rates: Dict[str, float] = {}
-        for cls in LAYER_CLASSES:
-            if aggregation == AGGREGATE_ALL:
-                rates[cls] = sum(proc.rate(cls) for proc in device.processors)
-            else:
-                rates[cls] = device.default_processor.rate(cls)
+        if aggregation == AGGREGATE_ALL:
+            rates = dict(device.node_rates)
+        else:
+            rates = {cls: device.default_processor.rate(cls) for cls in LAYER_CLASSES}
         if index == leader_index:
             comm, fixed = LOCAL_COMM_RATE, 0.0
         else:

@@ -269,6 +269,7 @@ def make_data_partition_from_shares(
     segments: Optional[Sequence[Segment]] = None,
     seg_range: Optional[Tuple[int, int]] = None,
     band: Optional[Tuple[int, int]] = None,
+    fast: Optional[bool] = None,
 ) -> DataPartition:
     """Split a segment range data-wise with per-tile workload shares.
 
@@ -286,8 +287,11 @@ def make_data_partition_from_shares(
     :class:`DataPartition` is an immutable value.  Callers must treat
     the returned partition (and its tiles) as read-only -- all in-repo
     callers copy ``flops_by_class`` before mutating.
+    ``fast`` is the DSE hatch as the calling search read it (``None``:
+    read it here).
     """
-    use_memo = fastpath_enabled() and (segments is None or segments is graph.segments())
+    fast = fastpath_enabled() if fast is None else fast
+    use_memo = fast and (segments is None or segments is graph.segments())
     if use_memo:
         per_graph = _PARTITIONS.setdefault(graph, OrderedDict())
         key = (tuple(shares), seg_range, band)
@@ -295,7 +299,7 @@ def make_data_partition_from_shares(
         if hit is not None:
             per_graph.move_to_end(key)
             return hit
-    partition = _make_data_partition_from_shares(graph, shares, segments, seg_range, band)
+    partition = _make_data_partition_from_shares(graph, shares, segments, seg_range, band, fast)
     if use_memo:
         per_graph[key] = partition
         if len(per_graph) > _PARTITIONS_MAX:
@@ -312,9 +316,10 @@ _PARTITIONS_MAX = 2048
 def _make_data_partition_from_shares(
     graph: DNNGraph,
     shares: Sequence[float],
-    segments: Optional[Sequence[Segment]] = None,
-    seg_range: Optional[Tuple[int, int]] = None,
-    band: Optional[Tuple[int, int]] = None,
+    segments: Optional[Sequence[Segment]],
+    seg_range: Optional[Tuple[int, int]],
+    band: Optional[Tuple[int, int]],
+    fast: bool,
 ) -> DataPartition:
     segs = segments if segments is not None else graph.segments()
     lo, hi = seg_range if seg_range is not None else (0, len(segs) - 1)
@@ -336,7 +341,7 @@ def _make_data_partition_from_shares(
     ]
     # Halo-table row indices are only meaningful against the graph's
     # own memoised chain, hence the identity check.
-    if fastpath_enabled() and segs is graph.segments():
+    if fast and segs is graph.segments():
         priced = _price_bands(graph, prefix_end, entry_layer, bands)
     else:
         prefix_layer_names = [name for seg in prefix_segs for name in seg.layer_names]

@@ -35,7 +35,9 @@ def fastpath_enabled() -> bool:
     """Whether the vectorized DSE kernels are active.
 
     Disable with ``REPRO_DSE_FASTPATH=0`` (checked per call so tests and
-    benches can toggle at runtime).
+    benches can toggle at runtime).  A search reads it once and hands
+    the flag to its per-cut and per-band helpers (their ``fast``
+    argument), so planning does one environment lookup per search.
     """
     return os.environ.get("REPRO_DSE_FASTPATH", "1") != "0"
 

@@ -11,9 +11,10 @@ The local computation-to-communication vector ``psi = {lambda_k/mu_k}``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.dnn.layers import CLASS_CONV
+from repro.dnn.layers import CLASS_CONV, LAYER_CLASSES
 from repro.platform.processor import KIND_GPU, Processor
 
 
@@ -81,6 +82,13 @@ class Device:
             )
             vector[proc.name] = rate / self.mu(proc)
         return vector
+
+    @cached_property
+    def node_rates(self) -> Dict[str, float]:
+        """Per-layer-class rate of the whole node, every processor
+        counted [FLOPs/s] -- the global tier's heterogeneity-aware view.
+        Computed once per device; treat it as read-only."""
+        return {cls: sum(proc.rate(cls) for proc in self.processors) for cls in LAYER_CLASSES}
 
     def compute_rate(self, flops_by_class: Optional[Mapping[str, int]] = None) -> float:
         """Node computation rate ``Lambda_j`` (paper Eq. 2) [FLOPs/s]."""

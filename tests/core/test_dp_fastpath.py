@@ -4,16 +4,28 @@ tie-breaks, same plans -- across randomized executors, quanta, and
 coarsening levels.  ``REPRO_DSE_FASTPATH=0`` must route the public API
 to the reference code."""
 
+import math
 import random
+import sys
+from collections import namedtuple
+from dataclasses import replace
+from weakref import WeakKeyDictionary
 
+import numpy as np
 import pytest
 
+import repro.core.dp as dp_module
+import repro.core.dse as dse_module
+import repro.core.local_partitioner as local_module
+import repro.dnn.partition as partition_module
 from repro.core.dp import (
     ExecutorModel,
     _coarsen,
     _coarsen_reference,
     _data_shares_dp_numpy,
     _pipeline_cuts_dp_numpy,
+    _relax_cuts,
+    clear_result_memos,
     data_shares_dp,
     data_shares_dp_batch,
     data_shares_dp_reference,
@@ -25,6 +37,9 @@ from repro.core.hidp import HiDPStrategy
 from repro.dnn.layers import LAYER_CLASSES
 from repro.dnn.models import build_model
 from repro.platform.cluster import build_cluster
+
+#: Stand-in segment: the fields the pipeline DP and its coarsening read.
+Span = namedtuple("Span", "index flops_by_class in_bytes out_bytes num_ops")
 
 
 def _random_executor(rng, ident):
@@ -126,6 +141,294 @@ class TestPipelineCutsEquivalence:
             _pipeline_cuts_dp_numpy(model_segments["tiny_cnn"], [], 0, 1.0, 48)
         with pytest.raises(ValueError):
             _pipeline_cuts_dp_numpy(model_segments["tiny_cnn"], [executor], 3, 1.0, 48)
+
+
+def _integer_executor(rng, ident):
+    """Small integer rates and costs: many candidates tie exactly or
+    round to the same float."""
+    rates = {cls: float(rng.choice([1, 2, 4, 8])) for cls in LAYER_CLASSES}
+    return ExecutorModel(
+        ident=ident,
+        rates=rates,
+        comm_bytes_s=rng.choice([1.0, 2.0, 4.0, math.inf]),
+        fixed_s=float(rng.randint(0, 3)),
+        dispatch_s=float(rng.randint(0, 2)),
+    )
+
+
+def _random_chain(rng, n, integer):
+    top = 8 if integer else 10**10
+    return tuple(
+        Span(
+            index=k,
+            flops_by_class={
+                cls: rng.randint(0, top)
+                for cls in LAYER_CLASSES
+                if rng.random() < 0.6 or cls == "conv"
+            },
+            in_bytes=rng.randint(0, 8 if integer else 10**7),
+            out_bytes=rng.randint(0, 8 if integer else 10**7),
+            num_ops=rng.randint(0, 3),
+        )
+        for k in range(n)
+    )
+
+
+def _with_twin(rng, executors):
+    """Copy executor 0's values into a second slot: identical rates give
+    exact ties between the twins at every cell."""
+    if len(executors) < 2:
+        return executors
+    slot = rng.randrange(1, len(executors))
+    twin = replace(executors[0], ident=f"twin{slot}")
+    return executors[:slot] + [twin] + executors[slot + 1 :]
+
+
+class TestRelaxationRounds:
+    """The relaxation-round kernel against the sequential reference on
+    the cases where a wrong tie-break or fold order would show."""
+
+    @pytest.mark.parametrize("integer", [False, True], ids=["real", "integer"])
+    def test_randomized_differential(self, integer):
+        rng = random.Random(2020 + integer)
+        for trial in range(300):
+            n = rng.choice([1, 2, 3, 5, 9, 20, 60])
+            m = rng.choice([1, 2, 3, 5])
+            make = _integer_executor if integer else _random_executor
+            executors = [make(rng, f"e{i}") for i in range(m)]
+            if trial % 3:
+                executors = _with_twin(rng, executors)
+            if trial % 5 == 0:
+                executors[rng.randrange(m)] = replace(
+                    executors[rng.randrange(m)], comm_bytes_s=math.inf
+                )
+            chain = _random_chain(rng, n, integer)
+            source = rng.randrange(m)
+            weight = rng.choice([0.0, 0.5, 1.0])
+            max_segments = rng.choice([4, 16, 48])
+            reference = pipeline_cuts_dp_reference(chain, executors, source, weight, max_segments)
+            fast = _pipeline_cuts_dp_numpy(chain, executors, source, weight, max_segments)
+            assert fast == reference, (trial, n, m, source)
+
+    def test_single_span_and_single_executor(self):
+        rng = random.Random(5)
+        executors = [_random_executor(rng, f"e{i}") for i in range(4)]
+        chain = _random_chain(rng, 1, False)
+        for source in range(4):
+            assert _pipeline_cuts_dp_numpy(chain, executors, source, 1.0, 48) == (
+                pipeline_cuts_dp_reference(chain, executors, source, 1.0, 48)
+            )
+        long_chain = _random_chain(rng, 30, False)
+        solo = executors[:1]
+        plan = _pipeline_cuts_dp_numpy(long_chain, solo, 0, 1.0, 48)
+        assert plan == pipeline_cuts_dp_reference(long_chain, solo, 0, 1.0, 48)
+        assert plan.blocks == ((0, 29, 0),)
+
+    def test_overflowed_compute_matches_reference(self):
+        # A near-zero rate overflows span costs to +inf, so block costs
+        # hit inf - inf; the reference skips those NaN candidates.
+        rng = random.Random(8)
+        chain = _random_chain(rng, 12, False)
+        slow = ExecutorModel("slow", {cls: 1e-310 for cls in LAYER_CLASSES}, 1e6)
+        cases = [[slow] + [_random_executor(rng, f"e{i}") for i in range(m - 1)] for m in (2, 3)]
+        # Nothing finite at all: the plan is one infinite block whose
+        # stage time the reference never set (0.0).
+        cases += [[slow], [slow, replace(slow, ident="slow2")]]
+        for executors in cases:
+            for source in range(len(executors)):
+                with np.errstate(over="ignore"):
+                    fast = _pipeline_cuts_dp_numpy(chain, executors, source, 1.0, 48)
+                    reference = pipeline_cuts_dp_reference(chain, executors, source, 1.0, 48)
+                assert fast == reference
+
+    def test_rounds_reach_the_fixed_point_within_n(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            n, m = rng.randint(2, 30), rng.randint(2, 5)
+            entry = np.array([[rng.uniform(0, 10) for _ in range(n)] for _ in range(m)])
+            entry = np.cumsum(entry, axis=1)
+            transfer = np.array([[rng.uniform(0, 3) for _ in range(n - 1)] for _ in range(m)])
+            blk = np.full((n - 1, m, n), math.inf)
+            for j in range(n - 1):
+                blk[j, :, j + 1 :] = entry[:, j + 1 :] - entry[:, j : j + 1]
+            table, rounds = _relax_cuts(entry, transfer, blk)
+            assert 1 <= rounds <= n
+            again, _ = _relax_cuts(table, transfer, blk)
+            assert np.array_equal(again, table)  # a fixed point
+
+    def test_nan_table_stops_after_n_rounds(self):
+        n, m = 7, 3
+        entry = np.ones((m, n))
+        entry[1, 2] = math.nan  # NaN never equals itself: no round settles
+        blk = np.zeros((n - 1, m, n))
+        _, rounds = _relax_cuts(entry, np.zeros((m, n - 1)), blk)
+        assert rounds == n
+
+    @pytest.mark.parametrize("hatch", ["1", "0"])
+    def test_nan_costs_raise(self, hatch, monkeypatch):
+        monkeypatch.setenv("REPRO_DSE_FASTPATH", hatch)
+        rng = random.Random(3)
+        executors = [_random_executor(rng, f"e{i}") for i in range(3)]
+        chain = list(_random_chain(rng, 6, False))
+        nan_flops = list(chain)
+        nan_flops[2] = nan_flops[2]._replace(flops_by_class={"conv": math.nan})
+        with pytest.raises(ValueError, match="span 2: compute cost on executor e0 is NaN"):
+            pipeline_cuts_dp(tuple(nan_flops), executors)
+        nan_bytes = list(chain)
+        nan_bytes[4] = nan_bytes[4]._replace(in_bytes=math.nan)
+        with pytest.raises(ValueError, match="span 4: transfer cost on executor e0 is NaN"):
+            pipeline_cuts_dp(tuple(nan_bytes), executors)
+        # inf bytes at an infinite comm rate is inf / inf.
+        inf_bytes = list(chain)
+        inf_bytes[1] = inf_bytes[1]._replace(in_bytes=math.inf)
+        free = [replace(executors[0], comm_bytes_s=math.inf)] + executors[1:]
+        with pytest.raises(ValueError, match="span 1: transfer cost on executor e0 is NaN"):
+            pipeline_cuts_dp(tuple(inf_bytes), free)
+
+
+class TestPipelineGeometryMemo:
+    def test_replans_under_new_loads_share_one_geometry(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DSE_FASTPATH", "1")
+        clear_result_memos()
+        segments = build_model("resnet152").segments()
+        rng = random.Random(21)
+        executors = [_random_executor(rng, f"e{i}") for i in range(4)]
+        for _ in range(6):
+            loaded = [
+                replace(executor, fixed_s=executor.fixed_s + rng.uniform(0.0, 0.2))
+                for executor in executors
+            ]
+            assert pipeline_cuts_dp(segments, loaded) == pipeline_cuts_dp_reference(
+                segments, loaded
+            )
+        assert len(dp_module._PIPELINE_GEOMETRY) == 1
+        assert len(dp_module._PIPELINE_RESULTS) == 6
+
+    def test_memo_is_bounded_and_identity_checked(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DSE_FASTPATH", "1")
+        clear_result_memos()
+        rng = random.Random(22)
+        executors = [_random_executor(rng, f"e{i}") for i in range(3)]
+        chains = [_random_chain(rng, 10, False) for _ in range(dp_module._PIPELINE_GEOMETRY_MAX + 5)]
+        for chain in chains:
+            _pipeline_cuts_dp_numpy(chain, executors, 0, 1.0, 48)
+        assert len(dp_module._PIPELINE_GEOMETRY) == dp_module._PIPELINE_GEOMETRY_MAX
+        pinned = [entry[0] for entry in dp_module._PIPELINE_GEOMETRY.values()]
+        assert pinned == chains[-dp_module._PIPELINE_GEOMETRY_MAX :]  # LRU order
+        # An equal chain that is a different object gets its own entry.
+        copy = tuple(Span(*span) for span in chains[-1])
+        assert _pipeline_cuts_dp_numpy(copy, executors, 0, 1.0, 48) == (
+            pipeline_cuts_dp_reference(copy, executors, 0, 1.0, 48)
+        )
+        assert next(reversed(dp_module._PIPELINE_GEOMETRY.values()))[0] is copy
+
+
+class TestClearResultMemos:
+    #: Module-level caches that hold structure, not results: the share
+    #: DP's per-quanta index geometry.
+    STRUCTURAL = {"_SHARES_GEOMETRY"}
+
+    @staticmethod
+    def _memos(module):
+        return {
+            name: value
+            for name, value in vars(module).items()
+            if name.startswith("_")
+            and name.strip("_").isupper()
+            and isinstance(value, (dict, WeakKeyDictionary))
+        }
+
+    def test_empties_every_result_memo(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DSE_FASTPATH", "1")
+        cluster = build_cluster()
+        strategy = HiDPStrategy()
+        for model in ("resnet152", "mobilenet_v2"):
+            graph = build_model(model)
+            strategy.plan(graph, cluster)
+            strategy.plan(graph, cluster, load={cluster.devices[1].name: 0.3})
+        memos = {
+            f"{module.__name__}.{name}": value
+            for module in (dp_module, partition_module)
+            for name, value in self._memos(module).items()
+            if name not in self.STRUCTURAL
+        }
+        assert {
+            "repro.core.dp._SHARES_RESULTS",
+            "repro.core.dp._PIPELINE_RESULTS",
+            "repro.core.dp._PIPELINE_GEOMETRY",
+            "repro.core.dp._COARSEN_CACHE",
+            "repro.dnn.partition._PARTITIONS",
+        } <= set(memos)
+        assert all(len(memo) for memo in memos.values()), {
+            name: len(memo) for name, memo in memos.items()
+        }
+        clear_result_memos()
+        assert {name: len(memo) for name, memo in memos.items()} == dict.fromkeys(memos, 0)
+
+
+class TestHatchReads:
+    def test_planning_reads_the_hatch_once_per_search(self, monkeypatch):
+        """Per-band and per-cut helpers take the hatch from their search
+        instead of reading the environment each time."""
+        reads = []
+
+        def counting():
+            reads.append(sys._getframe(1).f_code.co_name)
+            return True
+
+        for module in (dp_module, dse_module, local_module, partition_module):
+            monkeypatch.setattr(module, "fastpath_enabled", counting)
+        clear_result_memos()
+        HiDPStrategy().plan(build_model("resnet152"), build_cluster())
+        assert reads
+        # The searches: global data and pipeline searches, one local
+        # piece, one staged exchange decision (its share sweep).
+        assert set(reads) <= {
+            "explore_data_batch",
+            "pipeline_cuts_dp",
+            "plan_piece",
+            "data_shares_dp_batch",
+        }
+
+
+class TestShareNanFinish:
+    """A NaN finish time is a candidate the reference never takes."""
+
+    INF_RATES = {cls: math.inf for cls in LAYER_CLASSES}
+
+    @staticmethod
+    def _thin_is_infinite(share):
+        return math.inf if share < 0.5 else 1.0
+
+    def test_infinite_inflation_times_zero_compute(self):
+        free = ExecutorModel("free", self.INF_RATES, 1e9, fixed_s=1e-5)
+        slow = ExecutorModel("slow", {cls: 1e9 for cls in LAYER_CLASSES}, 1e9, fixed_s=1e-5)
+        for executors in ([free, slow], [slow, free]):
+            reference = data_shares_dp_reference(
+                {"conv": 10**9}, 0, executors, 4, 0, self._thin_is_infinite
+            )
+            with np.errstate(invalid="ignore"):
+                fast = _data_shares_dp_numpy(
+                    {"conv": 10**9}, 0, executors, 4, 0, self._thin_is_infinite
+                )
+            assert fast == reference
+            assert reference.makespan_s == 1e-05
+
+    def test_randomized_nan_finishes(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            executors = [_random_executor(rng, f"e{i}") for i in range(rng.randint(1, 4))]
+            for slot in range(len(executors)):
+                if rng.random() < 0.5:
+                    executors[slot] = replace(executors[slot], rates=self.INF_RATES)
+            cutoff = rng.choice([0.2, 0.5, 0.8])
+            inflation = lambda share, cutoff=cutoff: math.inf if share < cutoff else 1.0
+            flops = _random_flops(rng)
+            quanta = rng.choice([1, 3, 4, 10])
+            reference = data_shares_dp_reference(flops, 1000, executors, quanta, 2, inflation)
+            with np.errstate(invalid="ignore"):
+                fast = _data_shares_dp_numpy(flops, 1000, executors, quanta, 2, inflation)
+            assert repr(fast) == repr(reference)
 
 
 class TestCoarsenEquivalence:

@@ -126,7 +126,7 @@ class TestStagedSearchSharing:
             partitioner = partitioners[name]
             segments, table = graph.segments(), graph.segment_table()
             monkeypatch.setenv("REPRO_DSE_FASTPATH", "1")
-            shared = partitioner._staged(graph, segments, seg_range, "piece", table)
+            shared = partitioner._staged(graph, segments, seg_range, "piece", table, True)
             monkeypatch.setenv("REPRO_DSE_FASTPATH", "0")
             reference = partitioner._staged_reference(
                 graph, segments, seg_range, "piece", table
@@ -139,13 +139,13 @@ class TestStagedSearchSharing:
         partitioner = LocalPartitioner(build_device("jetson_tx2"))
         segments, table = graph.segments(), graph.segment_table()
         hi = len(segments) - 1
-        partitioner._staged(graph, segments, (0, hi), "first", table)
+        partitioner._staged(graph, segments, (0, hi), "first", table, True)
         search = partitioner._searches[(id(graph), hi)]
         computed = dict(search._decisions)
         assert computed
         # A later piece ending at hi reads the same map ...
         start = max(computed)
-        partitioner._staged(graph, segments, (start, hi), "second", table)
+        partitioner._staged(graph, segments, (start, hi), "second", table, True)
         assert partitioner._searches[(id(graph), hi)] is search
         # ... and every reused decision equals a freshly computed one.
         for start, decision in computed.items():
@@ -240,9 +240,9 @@ class TestStagedDecisionEquivalence:
             hi = len(segments) - 1
             lo = rng.randrange(0, max(1, hi))
             monkeypatch.setenv("REPRO_DSE_FASTPATH", "1")
-            fast = partitioner._staged(graph, segments, (lo, hi), "piece", table)
+            fast = partitioner._staged(graph, segments, (lo, hi), "piece", table, True)
             monkeypatch.setenv("REPRO_DSE_FASTPATH", "0")
-            reference = partitioner._staged(graph, segments, (lo, hi), "piece", table)
+            reference = partitioner._staged(graph, segments, (lo, hi), "piece", table, False)
             assert fast == reference
 
     def test_plan_piece_identical_either_way(self, monkeypatch):

@@ -7,10 +7,8 @@ prices bands from the tables, the ``REPRO_DSE_FASTPATH=0`` arm walks per
 band; both must build the same ``DataPartition``.
 """
 
-import os
 import random
 from functools import lru_cache
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,10 +35,6 @@ def _reachable(name):
         for lo in range(len(segs))
         for p in range(lo, spatial_prefix(graph, segs, (lo, last))[1] + 1)
     ]
-
-
-def _dse_fastpath(value):
-    return mock.patch.dict(os.environ, {"REPRO_DSE_FASTPATH": value})
 
 
 def _draw_band(data, height):
@@ -83,10 +77,8 @@ def test_fast_partition_equals_the_reference_partition(name, data):
     prefix_hi = spatial_prefix(graph, segs, (lo, hi))[1]
     height = graph.spec(segs[prefix_hi].layer_names[-1]).height
     band = _draw_band(data, height) if data.draw(st.booleans()) else None
-    with _dse_fastpath("1"):
-        fast = _make_data_partition_from_shares(graph, shares, None, (lo, hi), band)
-    with _dse_fastpath("0"):
-        reference = _make_data_partition_from_shares(graph, shares, None, (lo, hi), band)
+    fast = _make_data_partition_from_shares(graph, shares, None, (lo, hi), band, True)
+    reference = _make_data_partition_from_shares(graph, shares, None, (lo, hi), band, False)
     assert fast == reference  # tiles: rows, halo rows, flops, flops_by_class
     for mine, theirs in zip(fast.tiles, reference.tiles):
         assert list(mine.flops_by_class) == list(theirs.flops_by_class)
@@ -106,8 +98,7 @@ def test_pricing_many_bands_keeps_one_table_per_prefix_and_no_band_state():
         out_lo = rng.randrange(height)
         band = (out_lo, rng.randrange(out_lo + 1, height + 1))
         shares = [rng.random() + 0.01 for _ in range(rng.randrange(1, 5))]
-        with _dse_fastpath("1"):
-            _make_data_partition_from_shares(graph, shares, None, (lo, p), band)
+        _make_data_partition_from_shares(graph, shares, None, (lo, p), band, True)
         prefixes.add((segs[p].layer_names[-1], _entry_layer(graph, segs, lo)))
     assert set(graph._halo_tables) == prefixes and len(prefixes) == 10
     after = {key: _size(value) for key, value in vars(graph).items()}
