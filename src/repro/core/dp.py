@@ -24,18 +24,23 @@ computes the same tables in batched array sweeps.  The fast path
 replicates the reference's floating-point evaluation order and
 tie-breaking exactly, so plans are byte-identical; randomized
 equivalence tests in ``tests/core/test_dp_fastpath.py`` enforce this.
-Set ``REPRO_DSE_FASTPATH=0`` to force the reference implementations.
+Set ``REPRO_DSE_FASTPATH=0`` to force the reference implementations;
+each dispatcher reads the hatch itself, per call.  The fast path keeps
+its results in process-lifetime :class:`~repro.core.memo.Memo` tables
+(share plans by value, pipeline plans and geometries by chain
+identity), which :func:`clear_result_memos` empties.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+# clear_result_memos is re-exported: benchmarks clear the memos through dp.
+from repro.core.memo import Ref, clear_result_memos, result_memo  # noqa: F401
 from repro.dnn.graph import Segment
 from repro.dnn.layers import LAYER_CLASSES
 from repro.fastpath import fastpath_enabled
@@ -161,19 +166,6 @@ def _compute_signature(executors: Sequence[ExecutorModel]) -> Tuple:
     return tuple((tuple(executor.rates.items()), executor.dispatch_s) for executor in executors)
 
 
-def _lru_get(cache: "OrderedDict", key):
-    value = cache.get(key)
-    if value is not None:
-        cache.move_to_end(key)
-    return value
-
-
-def _lru_put(cache: "OrderedDict", key, value, max_entries: int) -> None:
-    cache[key] = value
-    if len(cache) > max_entries:
-        cache.popitem(last=False)
-
-
 @dataclass(frozen=True)
 class SharePlan:
     """Result of the data-partitioning DP."""
@@ -189,7 +181,6 @@ def data_shares_dp(
     quanta: int = 20,
     num_ops: int = 0,
     inflation: Callable[[float], float] = _no_inflation,
-    fast: Optional[bool] = None,
 ) -> SharePlan:
     """Distribute workload quanta over executors minimising makespan.
 
@@ -214,13 +205,10 @@ def data_shares_dp(
     On the fast path, results are additionally memoised by value (the
     DSE re-prices identical workloads against identical executors every
     planning pass); plans are immutable, so sharing them is safe.
-    ``fast`` pins the path for a caller that has read the hatch already
-    (``None`` reads it).
     """
-    fast = fastpath_enabled() if fast is None else fast
-    if fast:
+    if fastpath_enabled():
         return data_shares_dp_batch(
-            ((flops_by_class, input_bytes, num_ops),), executors, quanta, inflation, fast=True
+            ((flops_by_class, input_bytes, num_ops),), executors, quanta, inflation
         )[0]
     return data_shares_dp_reference(
         flops_by_class, input_bytes, executors, quanta, num_ops, inflation
@@ -286,7 +274,6 @@ def data_shares_dp_batch(
     executors: Sequence[ExecutorModel],
     quanta: int = 20,
     inflation: Callable[[float], float] = _no_inflation,
-    fast: Optional[bool] = None,
 ) -> List[SharePlan]:
     """Run :func:`data_shares_dp` for many workloads against the same
     executors in one batched numpy sweep.
@@ -298,12 +285,11 @@ def data_shares_dp_batch(
     instead of once per (item, executor).  Results are byte-identical
     to per-item :func:`data_shares_dp` calls, and memoised by value on
     the fast path (default inflation only -- callback identity is not
-    a stable cache key).  ``fast`` is as in :func:`data_shares_dp`.
+    a stable cache key).
     """
     if not items:
         return []
-    fast = fastpath_enabled() if fast is None else fast
-    if not fast:
+    if not fastpath_enabled():
         return [
             data_shares_dp_reference(flops, in_bytes, executors, quanta, num_ops, inflation)
             for flops, in_bytes, num_ops in items
@@ -315,7 +301,7 @@ def data_shares_dp_batch(
     misses: List[Tuple[int, Tuple]] = []
     for idx, (flops, in_bytes, num_ops) in enumerate(items):
         key = (tuple(flops.items()), in_bytes, num_ops, signature)
-        plan = _lru_get(_SHARES_RESULTS, key)
+        plan = _SHARES_RESULTS.get(key)
         plans.append(plan)
         if plan is None:
             misses.append((idx, key))
@@ -325,28 +311,12 @@ def data_shares_dp_batch(
         )
         for (idx, key), plan in zip(misses, fresh):
             plans[idx] = plan
-            _lru_put(_SHARES_RESULTS, key, plan, _SHARES_RESULTS_MAX)
+            _SHARES_RESULTS.put(key, plan)
     return plans
 
 
 #: Value-keyed memo of share plans (fast path, default inflation only).
-_SHARES_RESULTS: "OrderedDict[Tuple, SharePlan]" = OrderedDict()
-_SHARES_RESULTS_MAX = 8192
-
-
-def clear_result_memos() -> None:
-    """Drop the module-level result memos (share plans, pipeline plans
-    and geometries, coarsened spans, assembled partitions).  Benchmarks
-    call this between measurements so a warmed memo from one
-    configuration cannot subsidise another.  Structural caches on the
-    immutable graph (segments, segment table, halo tables) stay."""
-    from repro.dnn.partition import clear_partition_memos
-
-    _SHARES_RESULTS.clear()
-    _PIPELINE_RESULTS.clear()
-    _PIPELINE_GEOMETRY.clear()
-    _COARSEN_CACHE.clear()
-    clear_partition_memos()
+_SHARES_RESULTS = result_memo(8192)
 
 
 #: Per-quanta cache of the (r, q) index geometry shared by every sweep.
@@ -551,33 +521,30 @@ def pipeline_cuts_dp(
         return pipeline_cuts_dp_reference(
             segments, executors, source_executor, return_bytes_weight, max_segments
         )
-    # Memoise only immutable (tuple) chains: an identity check cannot
+    # Memoise only immutable (tuple) chains: an identity key cannot
     # detect in-place mutation of a list between calls.
     if not isinstance(segments, tuple):
         return _pipeline_cuts_dp_numpy(
             segments, executors, source_executor, return_bytes_weight, max_segments
         )
     key = (
-        id(segments),
+        Ref(segments),
         _executor_signature(executors),
         source_executor,
         return_bytes_weight,
         max_segments,
     )
-    cached = _lru_get(_PIPELINE_RESULTS, key)
-    if cached is not None and cached[0] is segments:
-        return cached[1]
-    plan = _pipeline_cuts_dp_numpy(
-        segments, executors, source_executor, return_bytes_weight, max_segments
-    )
-    # the strong segments ref pins the id, keeping the key unambiguous
-    _lru_put(_PIPELINE_RESULTS, key, (segments, plan), _PIPELINE_RESULTS_MAX)
+    plan = _PIPELINE_RESULTS.get(key)
+    if plan is None:
+        plan = _pipeline_cuts_dp_numpy(
+            segments, executors, source_executor, return_bytes_weight, max_segments
+        )
+        _PIPELINE_RESULTS.put(key, plan)
     return plan
 
 
 #: Identity+value-keyed memo of pipeline plans (fast path only).
-_PIPELINE_RESULTS: "OrderedDict[Tuple, Tuple[Sequence[Segment], PipelinePlan]]" = OrderedDict()
-_PIPELINE_RESULTS_MAX = 256
+_PIPELINE_RESULTS = result_memo(256)
 
 
 def pipeline_cuts_dp_reference(
@@ -594,6 +561,8 @@ def pipeline_cuts_dp_reference(
         raise ValueError("no executors")
     if not 0 <= source_executor < len(executors):
         raise ValueError(f"bad source executor {source_executor}")
+    if max_segments < 1:
+        raise ValueError(f"max_segments must be >= 1, got {max_segments}")
 
     spans = _coarsen(segments, max_segments)
     n = len(spans)
@@ -700,6 +669,8 @@ def _pipeline_cuts_dp_numpy(
         raise ValueError("no executors")
     if not 0 <= source_executor < len(executors):
         raise ValueError(f"bad source executor {source_executor}")
+    if max_segments < 1:
+        raise ValueError(f"max_segments must be >= 1, got {max_segments}")
 
     spans, in_bytes, prefix = _pipeline_geometry(segments, executors, max_segments)
     m, n = prefix.shape
@@ -827,18 +798,16 @@ def _pipeline_geometry(
     It depends on the chain and on each executor's rates and dispatch
     time, not on ``fixed_s`` or ``comm_bytes_s`` -- the terms a load
     snapshot or the choice of source changes -- so replans under a new
-    load reuse it.  Memoised for tuple chains (identity-validated, like
-    :func:`_coarsen`); the tensors are read-only.
+    load reuse it.  Memoised for tuple chains, keyed by chain identity
+    (like the plans); the tensors are read-only.
     """
     if not isinstance(segments, tuple):
         return _build_pipeline_geometry(segments, executors, max_segments)
-    key = (id(segments), max_segments, _compute_signature(executors))
-    cached = _lru_get(_PIPELINE_GEOMETRY, key)
-    if cached is not None and cached[0] is segments:
-        return cached[1]
-    geometry = _build_pipeline_geometry(segments, executors, max_segments)
-    # the strong segments ref pins the id, keeping the key unambiguous
-    _lru_put(_PIPELINE_GEOMETRY, key, (segments, geometry), _PIPELINE_GEOMETRY_MAX)
+    key = (Ref(segments), max_segments, _compute_signature(executors))
+    geometry = _PIPELINE_GEOMETRY.get(key)
+    if geometry is None:
+        geometry = _build_pipeline_geometry(segments, executors, max_segments)
+        _PIPELINE_GEOMETRY.put(key, geometry)
     return geometry
 
 
@@ -846,8 +815,7 @@ def _pipeline_geometry(
 #: An entry's arrays are ``O(n * m)``: the ``O(n^2 * m)`` block costs
 #: are rebuilt per call, since long-lived blocks of that size raised
 #: peak RSS by ~1 MB on churn_cold.
-_PIPELINE_GEOMETRY: "OrderedDict[Tuple, Tuple[Sequence[Segment], Tuple]]" = OrderedDict()
-_PIPELINE_GEOMETRY_MAX = 64
+_PIPELINE_GEOMETRY = result_memo(64)
 
 
 def _build_pipeline_geometry(
@@ -906,14 +874,6 @@ def pipeline_greedy(
     return PipelinePlan(blocks=(block,), latency_s=best_time, bottleneck_s=best_time)
 
 
-#: Identity-validated memo of coarsened spans: planning re-coarsens the
-#: same (memoised) segment chains every pass.  Values hold a strong ref
-#: to their key sequence, so an id() is never reused while its entry
-#: lives; the size bound keeps throwaway sequences from accumulating.
-_COARSEN_CACHE: "OrderedDict[Tuple[int, int], Tuple[Sequence[Segment], List]]" = OrderedDict()
-_COARSEN_CACHE_MAX = 64
-
-
 def _coarsen(
     segments: Sequence[Segment], max_segments: int
 ) -> List[Tuple[Dict[str, int], int, int, Tuple[int, int], int]]:
@@ -928,29 +888,7 @@ def _coarsen(
     are exact ints and ties break on the left span's chain position, so
     the merge order -- and hence the output -- matches
     :func:`_coarsen_reference` exactly.
-
-    Results are memoised per (segment tuple, max_segments); callers
-    must treat the returned spans as read-only (all in-repo callers
-    do).  Mutable sequences are not memoised -- identity cannot detect
-    in-place mutation between calls.
     """
-    if not isinstance(segments, tuple):
-        return _coarsen_uncached(segments, max_segments)
-    key = (id(segments), max_segments)
-    cached = _COARSEN_CACHE.get(key)
-    if cached is not None and cached[0] is segments:
-        _COARSEN_CACHE.move_to_end(key)
-        return cached[1]
-    spans = _coarsen_uncached(segments, max_segments)
-    _COARSEN_CACHE[key] = (segments, spans)
-    if len(_COARSEN_CACHE) > _COARSEN_CACHE_MAX:
-        _COARSEN_CACHE.popitem(last=False)
-    return spans
-
-
-def _coarsen_uncached(
-    segments: Sequence[Segment], max_segments: int
-) -> List[Tuple[Dict[str, int], int, int, Tuple[int, int], int]]:
     spans = [
         (
             dict(seg.flops_by_class),

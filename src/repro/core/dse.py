@@ -45,7 +45,6 @@ from repro.dnn.partition import (
     spatial_prefix,
 )
 from repro.dnn.segment_table import SegmentTable
-from repro.fastpath import fastpath_enabled
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,8 @@ def candidate_cuts(
 ) -> List[int]:
     """Candidate depth cuts: spatial-prefix segment ends, thinned to at
     most ``max_cuts`` positions evenly spaced by cumulative FLOPs."""
-    lo, hi = seg_range
+    if max_cuts < 1:
+        raise ValueError(f"max_cuts must be >= 1, got {max_cuts}")
     prefix_lo, prefix_hi = spatial_prefix(graph, segments, seg_range)
     if prefix_hi < prefix_lo:
         return []
@@ -139,7 +139,6 @@ def _select_data_decision(
     tail_seconds: Optional[Callable[[Tuple[int, int]], float]],
     min_sigma: int,
     table: SegmentTable,
-    fast: bool,
 ) -> Optional[DataModeDecision]:
     """Pick the best decision from priced candidate cuts (exact tiles)."""
     lo, hi = seg_range
@@ -165,7 +164,6 @@ def _select_data_decision(
                 [share for _, share in active],
                 segments=segments,
                 seg_range=(lo, cut),
-                fast=fast,
             )
         except PartitionError:
             continue
@@ -223,13 +221,12 @@ def explore_data(
     """
     if table is None:
         table = SegmentTable(segments)
-    fast = fastpath_enabled()
     valid_cuts, items = _data_share_items(graph, segments, seg_range, max_cuts, table)
     # One batched share-DP sweep prices every candidate cut at once.
-    share_plans = data_shares_dp_batch(items, executors, quanta=quanta, fast=fast)
+    share_plans = data_shares_dp_batch(items, executors, quanta=quanta)
     return _select_data_decision(
         graph, segments, seg_range, executors, valid_cuts, items, share_plans,
-        tail_seconds, min_sigma, table, fast,
+        tail_seconds, min_sigma, table,
     )
 
 
@@ -263,13 +260,12 @@ def explore_data_batch(
     request.  Results are identical to per-spec :func:`explore_data`
     calls (each item's DP is independent of its batch neighbours).
     """
-    fast = fastpath_enabled()
     gathered = [
         _data_share_items(spec.graph, spec.segments, spec.seg_range, spec.max_cuts, spec.table)
         for spec in specs
     ]
     all_items = [item for _, items in gathered for item in items]
-    share_plans = data_shares_dp_batch(all_items, executors, quanta=quanta, fast=fast)
+    share_plans = data_shares_dp_batch(all_items, executors, quanta=quanta)
     decisions: List[Optional[DataModeDecision]] = []
     offset = 0
     for spec, (valid_cuts, items) in zip(specs, gathered):
@@ -278,7 +274,7 @@ def explore_data_batch(
         decisions.append(
             _select_data_decision(
                 spec.graph, spec.segments, spec.seg_range, executors, valid_cuts, items,
-                plans, spec.tail_seconds, spec.min_sigma, spec.table, fast,
+                plans, spec.tail_seconds, spec.min_sigma, spec.table,
             )
         )
     return decisions
@@ -489,8 +485,6 @@ class StagedExchangeSearch:
         min_sigma: int = 2,
         table: Optional[SegmentTable] = None,
     ):
-        #: Strong reference: keys built from ``id(graph)`` stay unambiguous.
-        self.graph = graph
         self._hi = hi
         self._explore = partial(
             explore_data_exchange,

@@ -27,6 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.dp import ExecutorModel, pipeline_cuts_dp, scale_flops
 from repro.core.dse import DataModeDecision, DataSearchSpec, explore_data_batch
 from repro.core.local_partitioner import LocalDecision, LocalPartitioner
+from repro.core.memo import Memo, Ref
 from repro.core.plans import (
     ExecutionPlan,
     LOCAL_SINGLE,
@@ -217,18 +218,22 @@ class HiDPStrategy(Strategy):
         # Local-tier decision memo, shared across identical processors
         # (and across planning passes: the local tier never sees the
         # load vector, so a replan under a drifted load bucket reuses
-        # every local search verbatim).  Values pin a strong graph ref
-        # so the id() in the key stays unambiguous.
-        self._local_memo: "OrderedDict[Tuple, Tuple[DNNGraph, str, LocalDecision]]" = (
-            OrderedDict()
-        )
+        # every local search verbatim).  Values are (label, decision).
+        self._local_memo = Memo(self.LOCAL_MEMO_MAX)
         self._local_partitioners: Dict[Tuple, LocalPartitioner] = {}
-        #: Observability counters for the serving bench / tests.
-        self.local_searches = 0
-        self.local_shared = 0
 
     #: Bound on the shared local-decision memo.
     LOCAL_MEMO_MAX = 4096
+
+    @property
+    def local_searches(self) -> int:
+        """Local-tier searches run (local memo misses)."""
+        return self._local_memo.misses
+
+    @property
+    def local_shared(self) -> int:
+        """Local-tier decisions reused from the memo (its hits)."""
+        return self._local_memo.hits
 
     # Local tier -----------------------------------------------------------
 
@@ -296,24 +301,19 @@ class HiDPStrategy(Strategy):
         """
         memo_key = (
             device_local_signature(device),
-            id(graph),
+            Ref(graph),
             seg_range,
             band,
             segments is graph.segments(),
         )
         entry = self._local_memo.get(memo_key)
-        if entry is not None and entry[0] is graph:
-            self._local_memo.move_to_end(memo_key)
-            self.local_shared += 1
-            return relabel_decision(entry[2], entry[1], label)
+        if entry is not None:
+            return relabel_decision(entry[1], entry[0], label)
         decision = self._plan_piece_uncached(device, graph, segments, seg_range, band, label, table)
-        self.local_searches += 1
         # Memoise only pieces of the graph's own memoised chain: for ad
         # hoc segment lists the range indices alone are ambiguous.
         if memo_key[-1]:
-            self._local_memo[memo_key] = (graph, label, decision)
-            while len(self._local_memo) > self.LOCAL_MEMO_MAX:
-                self._local_memo.popitem(last=False)
+            self._local_memo.put(memo_key, (label, decision))
         return decision
 
     def _plan_piece_uncached(
@@ -602,7 +602,6 @@ class HiDPStrategy(Strategy):
                 continue
             cached = self._cache.get(key)
             if cached is not None:
-                self._cache.move_to_end(key)
                 plans_by_key[key] = cached
             else:
                 missing[key] = graph

@@ -16,13 +16,12 @@ communication vector ``psi{lambda, mu}`` instead of ``Psi``.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.dp import ExecutorModel, data_shares_dp, pipeline_cuts_dp, scale_flops
 from repro.core.dse import StagedExchangeSearch
-from repro.fastpath import fastpath_enabled
+from repro.core.memo import Memo, Ref
 from repro.core.plans import (
     LOCAL_DATA,
     LOCAL_PIPELINE,
@@ -39,6 +38,7 @@ from repro.dnn.partition import (
     spatial_prefix,
 )
 from repro.dnn.segment_table import SegmentTable
+from repro.fastpath import fastpath_enabled
 from repro.platform.device import Device
 from repro.platform.processor import Processor
 
@@ -104,8 +104,8 @@ class LocalPartitioner:
             cls: sum(proc.rate(cls) for proc in self._procs) for cls in LAYER_CLASSES
         }
         self._min_dispatch_s = min(proc.dispatch_time_s for proc in self._procs)
-        # Staged searches shared across pieces, keyed (id(graph), hi).
-        self._searches: "OrderedDict[Tuple[int, int], StagedExchangeSearch]" = OrderedDict()
+        # Staged searches shared across pieces, keyed (Ref(graph), hi).
+        self._searches = Memo(self.SEARCHES_MAX)
 
     #: Bound on the shared staged searches (one per graph and range end).
     SEARCHES_MAX = 4096
@@ -144,13 +144,12 @@ class LocalPartitioner:
         band: Optional[Tuple[int, int]],
         label: str,
         table: SegmentTable,
-        fast: bool,
     ) -> Optional[LocalDecision]:
         if len(self._procs) < 2:
             return None
         if band is not None:
-            return self._data_banded(graph, segments, seg_range, band, label, table, fast)
-        return self._staged(graph, segments, seg_range, label, table, fast)
+            return self._data_banded(graph, segments, seg_range, band, label, table)
+        return self._staged(graph, segments, seg_range, label, table)
 
     def _staged(
         self,
@@ -159,7 +158,6 @@ class LocalPartitioner:
         seg_range: Tuple[int, int],
         label: str,
         table: SegmentTable,
-        fast: bool,
     ) -> Optional[LocalDecision]:
         """Chunk-wise data partitioning (the paper's Fig. 3 local split).
 
@@ -177,28 +175,15 @@ class LocalPartitioner:
         partitioner and shared by every piece that ends at ``hi``
         (model blocks, data tails, whole-model pieces); each decision
         is computed the first time a stage reads it.  The reference arm
-        (``REPRO_DSE_FASTPATH=0``) builds one unshared search per
-        piece; ``tests/core/test_staged_fastpath.py`` pins the two arms
-        to byte-identical decisions.  ``fast`` is the hatch as
-        :meth:`plan_piece` read it.
+        (``REPRO_DSE_FASTPATH=0``, the seed behaviour kept as the
+        executable spec) builds one unshared search per piece;
+        ``tests/core/test_staged_fastpath.py`` pins the two arms to
+        byte-identical decisions.
         """
-        if fast:
+        if fastpath_enabled():
             search = self._shared_search(graph, segments, seg_range[1], table)
-            return self._staged_core(graph, segments, seg_range, label, table, search.decide)
-        return self._staged_reference(graph, segments, seg_range, label, table)
-
-    def _staged_reference(
-        self,
-        graph: DNNGraph,
-        segments: Sequence[Segment],
-        seg_range: Tuple[int, int],
-        label: str,
-        table: SegmentTable,
-    ) -> Optional[LocalDecision]:
-        """Per-piece search (the seed behaviour, kept as the executable
-        spec): one :func:`~repro.core.dse.explore_data_exchange` sweep
-        per emitted stage, shared with no other piece."""
-        search = self._staged_search(graph, segments, seg_range[1], table)
+        else:
+            search = self._staged_search(graph, segments, seg_range[1], table)
         return self._staged_core(graph, segments, seg_range, label, table, search.decide)
 
     def _staged_search(
@@ -224,20 +209,15 @@ class LocalPartitioner:
 
         Only the graph's own memoised chain and table are shared: for
         any other chain the range indices alone are ambiguous, so it
-        gets a fresh search.  A search pins its graph, so the ``id()``
-        in the key cannot be reused while the entry lives.
+        gets a fresh search.
         """
         if segments is not graph.segments() or table is not graph.segment_table():
             return self._staged_search(graph, segments, hi, table)
-        key = (id(graph), hi)
+        key = (Ref(graph), hi)
         search = self._searches.get(key)
-        if search is not None and search.graph is graph:
-            self._searches.move_to_end(key)
-            return search
-        search = self._staged_search(graph, segments, hi, table)
-        self._searches[key] = search
-        if len(self._searches) > self.SEARCHES_MAX:
-            self._searches.popitem(last=False)
+        if search is None:
+            search = self._staged_search(graph, segments, hi, table)
+            self._searches.put(key, search)
         return search
 
     def _staged_core(
@@ -348,7 +328,6 @@ class LocalPartitioner:
         band: Tuple[int, int],
         label: str,
         table: SegmentTable,
-        fast: bool,
     ) -> Optional[LocalDecision]:
         """Sub-split a received tile band across local processors.
 
@@ -371,7 +350,6 @@ class LocalPartitioner:
             self._models,
             quanta=self.quanta,
             num_ops=prefix_ops,
-            fast=fast,
         )
         active = [(idx, share) for idx, share in enumerate(plan.shares) if share > 0]
         if len(active) < 2:
@@ -383,7 +361,6 @@ class LocalPartitioner:
                 segments=segments,
                 seg_range=seg_range,
                 band=band,
-                fast=fast,
             )
         except PartitionError:
             return None
@@ -489,9 +466,7 @@ class LocalPartitioner:
             out_bytes = int(out_bytes * fraction)
         candidates = [self._single(flops, num_ops, in_bytes, out_bytes, label)]
         if self.enable_data:
-            data_candidate = self._data(
-                graph, segs, seg_range, band, label, table, fastpath_enabled()
-            )
+            data_candidate = self._data(graph, segs, seg_range, band, label, table)
             if data_candidate is not None:
                 candidates.append(data_candidate)
         if self.enable_pipeline and band is None:

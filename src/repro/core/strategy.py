@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import abc
 import math
-from collections import OrderedDict
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.dp import ExecutorModel
+from repro.core.memo import Memo
 from repro.core.plans import ExecutionPlan
 from repro.dnn.graph import DNNGraph
 from repro.dnn.layers import LAYER_CLASSES
@@ -116,7 +116,7 @@ class Strategy(abc.ABC):
     dse_overhead_s: float = 0.0
 
     def __init__(self) -> None:
-        self._cache: "OrderedDict[Tuple, ExecutionPlan]" = OrderedDict()
+        self._cache = Memo(self.PLAN_CACHE_MAX)
 
     #: Strategies that consult cluster load when planning override
     #: this; load-unaware baselines (MoDNN's static proportional rule)
@@ -235,7 +235,6 @@ class Strategy(abc.ABC):
         )
         cached = self._cache.get(key)
         if cached is not None:
-            self._cache.move_to_end(key)
             return cached
         plan = self._plan(graph, cluster, load=effective, leader=resolved)
         self._cache_put(key, plan)
@@ -293,10 +292,9 @@ class Strategy(abc.ABC):
         return sum(1 for key in keys if key not in self._cache)
 
     def _cache_put(self, key: Tuple, plan: ExecutionPlan) -> None:
-        self._cache[key] = plan
-        self._cache.move_to_end(key)
-        while len(self._cache) > self.PLAN_CACHE_MAX:
-            self._cache.popitem(last=False)
+        # PLAN_CACHE_MAX may be lowered on an instance after construction.
+        self._cache.max_entries = self.PLAN_CACHE_MAX
+        self._cache.put(key, plan)
 
     #: Load quantisation bucket for plan caching.
     LOAD_BUCKET_S = 0.05

@@ -17,7 +17,6 @@ FLOPs; the inflation is computed exactly from the demand walk.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
@@ -269,7 +268,6 @@ def make_data_partition_from_shares(
     segments: Optional[Sequence[Segment]] = None,
     seg_range: Optional[Tuple[int, int]] = None,
     band: Optional[Tuple[int, int]] = None,
-    fast: Optional[bool] = None,
 ) -> DataPartition:
     """Split a segment range data-wise with per-tile workload shares.
 
@@ -287,29 +285,27 @@ def make_data_partition_from_shares(
     :class:`DataPartition` is an immutable value.  Callers must treat
     the returned partition (and its tiles) as read-only -- all in-repo
     callers copy ``flops_by_class`` before mutating.
-    ``fast`` is the DSE hatch as the calling search read it (``None``:
-    read it here).
     """
-    fast = fastpath_enabled() if fast is None else fast
-    use_memo = fast and (segments is None or segments is graph.segments())
-    if use_memo:
-        per_graph = _PARTITIONS.setdefault(graph, OrderedDict())
+    if (segments is None or segments is graph.segments()) and fastpath_enabled():
+        memo = _PARTITIONS.get(graph)
+        if memo is None:
+            # Deferred: repro.core's package import loads this module.
+            from repro.core.memo import result_memo
+
+            memo = _PARTITIONS[graph] = result_memo(_PARTITIONS_MAX)
         key = (tuple(shares), seg_range, band)
-        hit = per_graph.get(key)
-        if hit is not None:
-            per_graph.move_to_end(key)
-            return hit
-    partition = _make_data_partition_from_shares(graph, shares, segments, seg_range, band, fast)
-    if use_memo:
-        per_graph[key] = partition
-        if len(per_graph) > _PARTITIONS_MAX:
-            per_graph.popitem(last=False)
-    return partition
+        partition = memo.get(key)
+        if partition is None:
+            partition = _make_data_partition_from_shares(graph, shares, segments, seg_range, band)
+            memo.put(key, partition)
+        return partition
+    return _make_data_partition_from_shares(graph, shares, segments, seg_range, band)
 
 
-#: Per-graph memo of assembled partitions (fast path only; see
-#: :func:`make_data_partition_from_shares`).
-_PARTITIONS: "WeakKeyDictionary[DNNGraph, OrderedDict]" = WeakKeyDictionary()
+#: Per-graph result memos (:class:`~repro.core.memo.Memo`) of assembled
+#: partitions (fast path only; see :func:`make_data_partition_from_shares`),
+#: keyed weakly by graph.
+_PARTITIONS: WeakKeyDictionary = WeakKeyDictionary()
 _PARTITIONS_MAX = 2048
 
 
@@ -319,7 +315,6 @@ def _make_data_partition_from_shares(
     segments: Optional[Sequence[Segment]],
     seg_range: Optional[Tuple[int, int]],
     band: Optional[Tuple[int, int]],
-    fast: bool,
 ) -> DataPartition:
     segs = segments if segments is not None else graph.segments()
     lo, hi = seg_range if seg_range is not None else (0, len(segs) - 1)
@@ -341,7 +336,7 @@ def _make_data_partition_from_shares(
     ]
     # Halo-table row indices are only meaningful against the graph's
     # own memoised chain, hence the identity check.
-    if fast and segs is graph.segments():
+    if segs is graph.segments() and fastpath_enabled():
         priced = _price_bands(graph, prefix_end, entry_layer, bands)
     else:
         prefix_layer_names = [name for seg in prefix_segs for name in seg.layer_names]
@@ -397,14 +392,6 @@ def make_data_partition(
     return make_data_partition_from_shares(
         graph, even_shares(num_tiles), segments=segments, seg_range=seg_range
     )
-
-
-def clear_partition_memos() -> None:
-    """Drop the module-level memo of assembled partitions.  Benchmarks
-    call this between measurements so a warmed memo from one
-    configuration cannot subsidise another.  The graph's halo tables
-    are structural and stay."""
-    _PARTITIONS.clear()
 
 
 def _price_bands(

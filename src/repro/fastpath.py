@@ -35,9 +35,12 @@ def fastpath_enabled() -> bool:
     """Whether the vectorized DSE kernels are active.
 
     Disable with ``REPRO_DSE_FASTPATH=0`` (checked per call so tests and
-    benches can toggle at runtime).  A search reads it once and hands
-    the flag to its per-cut and per-band helpers (their ``fast``
-    argument), so planning does one environment lookup per search.
+    benches can toggle at runtime).  Each function that branches on it
+    reads it at its own branch: the DP dispatchers in
+    :mod:`repro.core.dp`, the partition memo and band pricing in
+    :mod:`repro.dnn.partition`, and the staged-search choice in
+    :mod:`repro.core.local_partitioner`.  No planning function takes
+    the flag as an argument.
     """
     return os.environ.get("REPRO_DSE_FASTPATH", "1") != "0"
 

@@ -9,6 +9,7 @@ from repro.core.dp import (
     data_shares_dp,
     data_shares_greedy,
     pipeline_cuts_dp,
+    pipeline_cuts_dp_reference,
     pipeline_greedy,
     scale_flops,
     _coarsen,
@@ -198,3 +199,12 @@ class TestPipelineCutsDP:
             pipeline_cuts_dp([], [_executor("a", 1.0)])
         with pytest.raises(ValueError):
             pipeline_cuts_dp(segments, [])
+
+    @pytest.mark.parametrize("fastpath", ["1", "0"])
+    @pytest.mark.parametrize("max_segments", [0, -3])
+    def test_nonpositive_max_segments_rejected(self, segments, monkeypatch, fastpath, max_segments):
+        monkeypatch.setenv("REPRO_DSE_FASTPATH", fastpath)
+        executors = [_executor("a", 5.0), _executor("b", 20.0)]
+        for search in (pipeline_cuts_dp, pipeline_cuts_dp_reference):
+            with pytest.raises(ValueError, match="max_segments"):
+                search(segments, executors, max_segments=max_segments)

@@ -4,19 +4,22 @@ tie-breaks, same plans -- across randomized executors, quanta, and
 coarsening levels.  ``REPRO_DSE_FASTPATH=0`` must route the public API
 to the reference code."""
 
+import importlib
 import math
+import pkgutil
 import random
 import sys
 from collections import namedtuple
 from dataclasses import replace
-from weakref import WeakKeyDictionary
 
 import numpy as np
 import pytest
 
+import repro.core
 import repro.core.dp as dp_module
-import repro.core.dse as dse_module
 import repro.core.local_partitioner as local_module
+import repro.core.memo as memo_module
+import repro.dnn
 import repro.dnn.partition as partition_module
 from repro.core.dp import (
     ExecutorModel,
@@ -34,6 +37,7 @@ from repro.core.dp import (
     pipeline_cuts_dp_reference,
 )
 from repro.core.hidp import HiDPStrategy
+from repro.core.memo import Memo
 from repro.dnn.layers import LAYER_CLASSES
 from repro.dnn.models import build_model
 from repro.platform.cluster import build_cluster
@@ -289,10 +293,12 @@ class TestRelaxationRounds:
 class TestPipelineGeometryMemo:
     def test_replans_under_new_loads_share_one_geometry(self, monkeypatch):
         monkeypatch.setenv("REPRO_DSE_FASTPATH", "1")
+        geometry, results = dp_module._PIPELINE_GEOMETRY, dp_module._PIPELINE_RESULTS
         clear_result_memos()
         segments = build_model("resnet152").segments()
         rng = random.Random(21)
         executors = [_random_executor(rng, f"e{i}") for i in range(4)]
+        counts = (geometry.hits, geometry.misses, results.hits, results.misses)
         for _ in range(6):
             loaded = [
                 replace(executor, fixed_s=executor.fixed_s + rng.uniform(0.0, 0.2))
@@ -301,94 +307,121 @@ class TestPipelineGeometryMemo:
             assert pipeline_cuts_dp(segments, loaded) == pipeline_cuts_dp_reference(
                 segments, loaded
             )
-        assert len(dp_module._PIPELINE_GEOMETRY) == 1
-        assert len(dp_module._PIPELINE_RESULTS) == 6
+        # One geometry built, reused by the five later loads; six plans.
+        deltas = (geometry.hits, geometry.misses, results.hits, results.misses)
+        assert tuple(now - then for now, then in zip(deltas, counts)) == (5, 1, 0, 6)
+        assert (len(geometry), len(results)) == (1, 6)
 
     def test_memo_is_bounded_and_identity_checked(self, monkeypatch):
         monkeypatch.setenv("REPRO_DSE_FASTPATH", "1")
+        geometry = dp_module._PIPELINE_GEOMETRY
         clear_result_memos()
         rng = random.Random(22)
         executors = [_random_executor(rng, f"e{i}") for i in range(3)]
-        chains = [_random_chain(rng, 10, False) for _ in range(dp_module._PIPELINE_GEOMETRY_MAX + 5)]
+        chains = [_random_chain(rng, 10, False) for _ in range(geometry.max_entries + 5)]
+        evictions = geometry.evictions
         for chain in chains:
             _pipeline_cuts_dp_numpy(chain, executors, 0, 1.0, 48)
-        assert len(dp_module._PIPELINE_GEOMETRY) == dp_module._PIPELINE_GEOMETRY_MAX
-        pinned = [entry[0] for entry in dp_module._PIPELINE_GEOMETRY.values()]
-        assert pinned == chains[-dp_module._PIPELINE_GEOMETRY_MAX :]  # LRU order
-        # An equal chain that is a different object gets its own entry.
+        assert len(geometry) == geometry.max_entries
+        assert geometry.evictions - evictions == 5
+        # LRU order: the newest chain hits, the oldest was evicted.
+        hits, misses = geometry.hits, geometry.misses
+        _pipeline_cuts_dp_numpy(chains[-1], executors, 0, 1.0, 48)
+        _pipeline_cuts_dp_numpy(chains[0], executors, 0, 1.0, 48)
+        assert (geometry.hits - hits, geometry.misses - misses) == (1, 1)
+        # An equal chain that is a different object misses too.
         copy = tuple(Span(*span) for span in chains[-1])
+        assert copy == chains[-1]
         assert _pipeline_cuts_dp_numpy(copy, executors, 0, 1.0, 48) == (
             pipeline_cuts_dp_reference(copy, executors, 0, 1.0, 48)
         )
-        assert next(reversed(dp_module._PIPELINE_GEOMETRY.values()))[0] is copy
+        assert (geometry.hits - hits, geometry.misses - misses) == (1, 2)
+
+
+def _module_memos():
+    """Every module-level :class:`Memo` in ``repro.core`` and
+    ``repro.dnn``, by qualified name."""
+    memos = {}
+    for package in (repro.core, repro.dnn):
+        for info in pkgutil.walk_packages(package.__path__, package.__name__ + "."):
+            module = importlib.import_module(info.name)
+            for name, value in vars(module).items():
+                if isinstance(value, Memo):
+                    memos[f"{info.name}.{name}"] = value
+    return memos
 
 
 class TestClearResultMemos:
-    #: Module-level caches that hold structure, not results: the share
-    #: DP's per-quanta index geometry.
-    STRUCTURAL = {"_SHARES_GEOMETRY"}
-
-    @staticmethod
-    def _memos(module):
-        return {
-            name: value
-            for name, value in vars(module).items()
-            if name.startswith("_")
-            and name.strip("_").isupper()
-            and isinstance(value, (dict, WeakKeyDictionary))
-        }
-
     def test_empties_every_result_memo(self, monkeypatch):
+        """Memos are found by type, so a new module-level memo that is
+        not registered -- one a cold benchmark run would not clear --
+        fails here."""
         monkeypatch.setenv("REPRO_DSE_FASTPATH", "1")
         cluster = build_cluster()
         strategy = HiDPStrategy()
-        for model in ("resnet152", "mobilenet_v2"):
-            graph = build_model(model)
+        graphs = [build_model(model) for model in ("resnet152", "mobilenet_v2")]
+        for graph in graphs:
             strategy.plan(graph, cluster)
             strategy.plan(graph, cluster, load={cluster.devices[1].name: 0.3})
-        memos = {
-            f"{module.__name__}.{name}": value
-            for module in (dp_module, partition_module)
-            for name, value in self._memos(module).items()
-            if name not in self.STRUCTURAL
-        }
+        memos = _module_memos()
         assert {
             "repro.core.dp._SHARES_RESULTS",
             "repro.core.dp._PIPELINE_RESULTS",
             "repro.core.dp._PIPELINE_GEOMETRY",
-            "repro.core.dp._COARSEN_CACHE",
-            "repro.dnn.partition._PARTITIONS",
         } <= set(memos)
+        memos.update(
+            (f"_PARTITIONS[{graph.name}]", partition_module._PARTITIONS[graph]) for graph in graphs
+        )
+        # Planning filled every memo; other graphs' tables may be empty.
         assert all(len(memo) for memo in memos.values()), {
             name: len(memo) for name, memo in memos.items()
         }
+        tables = list(partition_module._PARTITIONS.values())
+        memos.update((f"_PARTITIONS[#{idx}]", table) for idx, table in enumerate(tables))
+        assert all(isinstance(table, Memo) for table in tables)
+        unregistered = [
+            name for name, memo in memos.items() if memo not in memo_module._RESULT_MEMOS
+        ]
+        assert unregistered == []
         clear_result_memos()
         assert {name: len(memo) for name, memo in memos.items()} == dict.fromkeys(memos, 0)
 
 
 class TestHatchReads:
-    def test_planning_reads_the_hatch_once_per_search(self, monkeypatch):
-        """Per-band and per-cut helpers take the hatch from their search
-        instead of reading the environment each time."""
-        reads = []
+    #: The functions that branch on ``REPRO_DSE_FASTPATH``.
+    BRANCHES = {
+        "data_shares_dp",
+        "data_shares_dp_batch",
+        "pipeline_cuts_dp",
+        "make_data_partition_from_shares",
+        "_make_data_partition_from_shares",
+        "_staged",
+    }
 
-        def counting():
-            reads.append(sys._getframe(1).f_code.co_name)
-            return True
+    def test_each_branch_reads_the_hatch_itself(self):
+        """Planning reads the hatch only at the branches that use it,
+        and that read alone picks the arm: with the environment saying
+        the opposite, the reference arm fills no result memo and the
+        fast arm fills all of them."""
+        graph = build_model("mobilenet_v2")
+        for enabled in (True, False):
+            reads = []
 
-        for module in (dp_module, dse_module, local_module, partition_module):
-            monkeypatch.setattr(module, "fastpath_enabled", counting)
-        clear_result_memos()
-        HiDPStrategy().plan(build_model("resnet152"), build_cluster())
-        assert reads
-        # The searches: global data and pipeline searches, one local
-        # piece, one staged exchange decision (its share sweep).
-        assert set(reads) <= {
-            "explore_data_batch",
-            "pipeline_cuts_dp",
-            "plan_piece",
-            "data_shares_dp_batch",
-        }
+            def stub():
+                reads.append(sys._getframe(1).f_code.co_name)
+                return enabled
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setenv("REPRO_DSE_FASTPATH", "0" if enabled else "1")
+                for module in (dp_module, local_module, partition_module):
+                    patch.setattr(module, "fastpath_enabled", stub)
+                clear_result_memos()
+                HiDPStrategy().plan(graph, build_cluster())
+            assert reads and set(reads) <= self.BRANCHES
+            memos = list(_module_memos().values())
+            memos.append(partition_module._PARTITIONS.get(graph, ()))
+            sizes = [len(memo) for memo in memos]
+            assert all(bool(size) == enabled for size in sizes), (enabled, sizes)
 
 
 class TestShareNanFinish:
@@ -442,11 +475,6 @@ class TestCoarsenEquivalence:
             assert [list(span[0].items()) for span in fast] == [
                 list(span[0].items()) for span in reference
             ]
-
-    def test_cache_returns_same_spans_for_same_chain(self):
-        segments = build_model("mobilenet_v2").segments()
-        assert _coarsen(segments, 10) is _coarsen(segments, 10)
-        assert _coarsen(segments, 10) is not _coarsen(segments, 12)
 
 
 class TestFastpathSwitch:

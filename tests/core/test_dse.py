@@ -4,10 +4,13 @@ import pytest
 
 from repro.core.dp import ExecutorModel
 from repro.core.dse import (
+    DataSearchSpec,
+    StagedExchangeSearch,
     candidate_cuts,
     exchange_costs,
     exchange_equiv_bytes,
     explore_data,
+    explore_data_batch,
     explore_data_exchange,
 )
 from repro.dnn.layers import LAYER_CLASSES
@@ -36,6 +39,31 @@ class TestCandidateCuts:
         segments = tiny_cnn.segments()
         last = len(segments) - 1
         assert candidate_cuts(tiny_cnn, segments, (last, last)) == []
+
+    @pytest.mark.parametrize("max_cuts", [0, -2])
+    def test_nonpositive_max_cuts_rejected(self, resnet152, max_cuts):
+        """Every search over candidate cuts rejects the bound instead of
+        dividing by zero (0) or sweeping every position uncapped (< 0)."""
+        segments = resnet152.segments()
+        seg_range = (0, len(segments) - 1)
+        executors = [_executor("a", 20.0), _executor("b", 10.0)]
+        exchange = dict(intra_latency_s=0.0002, intra_bw_bytes_s=5e9, max_cuts=max_cuts)
+        searches = [
+            lambda: candidate_cuts(resnet152, segments, seg_range, max_cuts=max_cuts),
+            lambda: explore_data(resnet152, segments, seg_range, executors, max_cuts=max_cuts),
+            lambda: explore_data_batch(
+                [DataSearchSpec(resnet152, segments, seg_range, resnet152.segment_table(),
+                                max_cuts=max_cuts)],
+                executors,
+            ),
+            lambda: explore_data_exchange(resnet152, segments, seg_range, executors, **exchange),
+            lambda: StagedExchangeSearch(
+                resnet152, segments, seg_range[1], executors, **exchange
+            ).decide(0),
+        ]
+        for search in searches:
+            with pytest.raises(ValueError, match="max_cuts"):
+                search()
 
 
 class TestExploreData:

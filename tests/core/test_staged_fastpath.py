@@ -18,6 +18,7 @@ from repro.core.dp import _executor_signature
 from repro.core.dse import StagedExchangeSearch, explore_data_exchange
 from repro.core.hidp import HiDPStrategy
 from repro.core.local_partitioner import LocalPartitioner, processor_executor_models
+from repro.core.memo import Ref
 from repro.dnn.models import build_model
 from repro.platform.cluster import build_cluster
 from repro.platform.specs import DEVICE_NAMES, build_device
@@ -126,11 +127,9 @@ class TestStagedSearchSharing:
             partitioner = partitioners[name]
             segments, table = graph.segments(), graph.segment_table()
             monkeypatch.setenv("REPRO_DSE_FASTPATH", "1")
-            shared = partitioner._staged(graph, segments, seg_range, "piece", table, True)
+            shared = partitioner._staged(graph, segments, seg_range, "piece", table)
             monkeypatch.setenv("REPRO_DSE_FASTPATH", "0")
-            reference = partitioner._staged_reference(
-                graph, segments, seg_range, "piece", table
-            )
+            reference = partitioner._staged(graph, segments, seg_range, "piece", table)
             assert shared == reference
         assert any(partitioner._searches for partitioner in partitioners.values())
 
@@ -139,14 +138,14 @@ class TestStagedSearchSharing:
         partitioner = LocalPartitioner(build_device("jetson_tx2"))
         segments, table = graph.segments(), graph.segment_table()
         hi = len(segments) - 1
-        partitioner._staged(graph, segments, (0, hi), "first", table, True)
-        search = partitioner._searches[(id(graph), hi)]
+        partitioner._staged(graph, segments, (0, hi), "first", table)
+        search = partitioner._searches.get((Ref(graph), hi))
         computed = dict(search._decisions)
         assert computed
         # A later piece ending at hi reads the same map ...
         start = max(computed)
-        partitioner._staged(graph, segments, (start, hi), "second", table, True)
-        assert partitioner._searches[(id(graph), hi)] is search
+        partitioner._staged(graph, segments, (start, hi), "second", table)
+        assert partitioner._searches.get((Ref(graph), hi)) is search
         # ... and every reused decision equals a freshly computed one.
         for start, decision in computed.items():
             assert search.decide(start) is decision
@@ -175,8 +174,9 @@ class TestStagedSearchSharing:
         assert ranges
         assert len(ranges) == len(set(ranges))
         assert len(reads) > len(ranges)  # later pieces read earlier decisions
-        # The pieces ending at `last` shared one map.
-        assert len({key for key in partitioner._searches if key[1] == last}) == 1
+        # One search per range end: the pieces ending at `last` shared one.
+        ends = {hi for _, hi in pieces}
+        assert len(partitioner._searches) == partitioner._searches.misses == len(ends)
 
     def test_hidp_plan_computes_each_decision_once(self, count_explorations):
         graph = build_model("resnet152", fresh=True)
@@ -195,25 +195,27 @@ class TestStagedSearchSharing:
         assert not partitioner._searches
 
     def test_stale_id_entry_is_not_reused(self):
+        """Searches are keyed by graph identity: an equal graph that is
+        another object never reads this graph's search."""
         graph = build_model("tiny_cnn")
         other = build_model("tiny_cnn", fresh=True)
         partitioner = LocalPartitioner(build_device("jetson_orin_nx"))
         hi = len(graph.segments()) - 1
         stale = partitioner._shared_search(other, other.segments(), hi, other.segment_table())
-        # Plant the other graph's search under this graph's key, as a
-        # reused id() would.
-        partitioner._searches[(id(graph), hi)] = stale
         fresh = partitioner._shared_search(graph, graph.segments(), hi, graph.segment_table())
         assert fresh is not stale
-        assert fresh.graph is graph
+        assert partitioner._shared_search(graph, graph.segments(), hi, graph.segment_table()) is fresh
+        assert len(partitioner._searches) == 2
 
     def test_searches_are_bounded(self, monkeypatch):
         graph = build_model("resnet152")
-        partitioner = LocalPartitioner(build_device("jetson_orin_nx"))
         monkeypatch.setattr(LocalPartitioner, "SEARCHES_MAX", 3)
+        partitioner = LocalPartitioner(build_device("jetson_orin_nx"))
         for hi in range(10, 20):
             partitioner._shared_search(graph, graph.segments(), hi, graph.segment_table())
-        assert list(partitioner._searches) == [(id(graph), hi) for hi in (17, 18, 19)]
+        kept = [hi for hi in range(10, 20) if (Ref(graph), hi) in partitioner._searches]
+        assert kept == [17, 18, 19]
+        assert partitioner._searches.evictions == 7
 
     def test_twin_boards_share_one_partitioner(self):
         strategy = HiDPStrategy()
@@ -240,9 +242,9 @@ class TestStagedDecisionEquivalence:
             hi = len(segments) - 1
             lo = rng.randrange(0, max(1, hi))
             monkeypatch.setenv("REPRO_DSE_FASTPATH", "1")
-            fast = partitioner._staged(graph, segments, (lo, hi), "piece", table, True)
+            fast = partitioner._staged(graph, segments, (lo, hi), "piece", table)
             monkeypatch.setenv("REPRO_DSE_FASTPATH", "0")
-            reference = partitioner._staged(graph, segments, (lo, hi), "piece", table, False)
+            reference = partitioner._staged(graph, segments, (lo, hi), "piece", table)
             assert fast == reference
 
     def test_plan_piece_identical_either_way(self, monkeypatch):

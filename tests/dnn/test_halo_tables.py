@@ -37,6 +37,13 @@ def _reachable(name):
     ]
 
 
+def _partition(graph, shares, seg_range, band, fastpath):
+    """The partition assembled on one arm of ``REPRO_DSE_FASTPATH``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_DSE_FASTPATH", fastpath)
+        return _make_data_partition_from_shares(graph, shares, None, seg_range, band)
+
+
 def _draw_band(data, height):
     out_lo = data.draw(st.integers(0, height - 1))
     return out_lo, data.draw(st.integers(out_lo + 1, height))
@@ -77,14 +84,15 @@ def test_fast_partition_equals_the_reference_partition(name, data):
     prefix_hi = spatial_prefix(graph, segs, (lo, hi))[1]
     height = graph.spec(segs[prefix_hi].layer_names[-1]).height
     band = _draw_band(data, height) if data.draw(st.booleans()) else None
-    fast = _make_data_partition_from_shares(graph, shares, None, (lo, hi), band, True)
-    reference = _make_data_partition_from_shares(graph, shares, None, (lo, hi), band, False)
+    fast = _partition(graph, shares, (lo, hi), band, fastpath="1")
+    reference = _partition(graph, shares, (lo, hi), band, fastpath="0")
     assert fast == reference  # tiles: rows, halo rows, flops, flops_by_class
     for mine, theirs in zip(fast.tiles, reference.tiles):
         assert list(mine.flops_by_class) == list(theirs.flops_by_class)
 
 
-def test_pricing_many_bands_keeps_one_table_per_prefix_and_no_band_state():
+def test_pricing_many_bands_keeps_one_table_per_prefix_and_no_band_state(monkeypatch):
+    monkeypatch.setenv("REPRO_DSE_FASTPATH", "1")
     graph = build_model("resnet152", fresh=True)
     graph.segment_table()
     before = {key: _size(value) for key, value in vars(graph).items()}
@@ -98,7 +106,7 @@ def test_pricing_many_bands_keeps_one_table_per_prefix_and_no_band_state():
         out_lo = rng.randrange(height)
         band = (out_lo, rng.randrange(out_lo + 1, height + 1))
         shares = [rng.random() + 0.01 for _ in range(rng.randrange(1, 5))]
-        _make_data_partition_from_shares(graph, shares, None, (lo, p), band, True)
+        _make_data_partition_from_shares(graph, shares, None, (lo, p), band)
         prefixes.add((segs[p].layer_names[-1], _entry_layer(graph, segs, lo)))
     assert set(graph._halo_tables) == prefixes and len(prefixes) == 10
     after = {key: _size(value) for key, value in vars(graph).items()}
