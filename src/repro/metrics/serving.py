@@ -399,6 +399,45 @@ class StreamingStats:
         return tuple(self._reservoir)
 
 
+def _fingerprint_fields(result) -> tuple:
+    """The outcome fields both digests hash, ``sim_events`` excluded."""
+    return (
+        [
+            (
+                record.request.request_id,
+                record.dispatched_s,
+                record.completed_s,
+                record.replanned,
+                record.attempts,
+            )
+            for record in result.served
+        ],
+        result.makespan_s,
+        result.energy_j,
+        result.network_bytes,
+        result.total_flops,
+        result.batches,
+        result.replans,
+        result.steals,
+        result.preemptions,
+        result.planning_charged_s,
+        result.leader_devices,
+        result.dispatched_by_shard,
+        result.failures,
+        result.retries,
+        result.shed,
+        result.downgraded,
+        result.fault_events,
+        result.rejected,
+    )
+
+
+def _digest(fields: tuple) -> str:
+    import hashlib
+
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
 def result_fingerprint(result) -> str:
     """A canonical digest of everything a schedule-identical run must
     reproduce exactly.
@@ -412,38 +451,17 @@ def result_fingerprint(result) -> str:
     resumed :class:`~repro.serving.result.ServingResult` must digest
     equal to the uninterrupted run's.
     """
-    import hashlib
+    fields = _fingerprint_fields(result)
+    return _digest((fields[0], result.sim_events) + fields[1:])
 
-    canon = repr(
-        (
-            [
-                (
-                    record.request.request_id,
-                    record.dispatched_s,
-                    record.completed_s,
-                    record.replanned,
-                    record.attempts,
-                )
-                for record in result.served
-            ],
-            result.sim_events,
-            result.makespan_s,
-            result.energy_j,
-            result.network_bytes,
-            result.total_flops,
-            result.batches,
-            result.replans,
-            result.steals,
-            result.preemptions,
-            result.planning_charged_s,
-            result.leader_devices,
-            result.dispatched_by_shard,
-            result.failures,
-            result.retries,
-            result.shed,
-            result.downgraded,
-            result.fault_events,
-            result.rejected,
-        )
-    )
-    return hashlib.sha256(canon.encode()).hexdigest()
+
+def outcome_fingerprint(result) -> str:
+    """:func:`result_fingerprint` without ``sim_events``.
+
+    The event count is an implementation detail of the engine: a
+    change that schedules fewer events for the same simulated
+    behaviour keeps this digest while ``result_fingerprint`` moves.
+    Everything a run *reports* -- the served timeline, energy, bytes,
+    FLOPs and every scheduler and fault counter -- is still hashed.
+    """
+    return _digest(_fingerprint_fields(result))

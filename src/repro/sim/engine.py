@@ -8,7 +8,13 @@ this package is exactly reproducible.
 
 Only the features the HiDP framework needs are implemented: timeouts,
 processes, all-of conditions, FIFO resources and stores.  No interrupt
-machinery, no real-time pacing.
+machinery, no real-time pacing.  The simulated hardware does not queue
+through resources: a processor or the WLAN is a capacity-1 FIFO whose
+next free instant is known, so ``repro.sim.runtime`` books each hold on
+that calendar and wakes once at its end, through
+:meth:`Environment.timeout_at` / :meth:`Environment.schedule_at`
+(events at an absolute time).  Resources remain for the serving
+layer's in-flight slots.
 
 Both engine forms share one pending-set representation -- a heap of
 ``(time, seq, event)`` tuples -- so every schedule site is
@@ -19,12 +25,12 @@ construction.  What differs is the *drain*, selected per
 
 - The **fast path** batch-pops every simultaneous-time entry under a
   single clock store and routes each through a type-specialised arm:
-  timeouts, resource grants and plain events are retired inline --
+  timeouts and plain events are retired inline --
   when the sole subscriber is a waiting :class:`Process` its generator
   is resumed *directly*, skipping the ``_process`` -> callback ->
   ``_resume`` frame chain -- late calls invoke their stored callback,
-  and everything else (process bootstraps/completions, conditions)
-  falls back to generic ``_process()`` dispatch.  Processes bootstrap
+  and everything else (process bootstraps, resource grants) falls
+  back to generic ``_process()`` dispatch.  Processes bootstrap
   by scheduling themselves (no bootstrap ``Event``) and subscribe to
   events as bare callables, so the hottest wait-resume cycle allocates
   nothing beyond the event and its heap entry.
@@ -75,21 +81,6 @@ class ProcessCrashed(SimulationError):
         )
         self.process = process
         self.sim_time = sim_time
-
-
-#: Resource-grant classes registered by ``repro.sim.resources`` for the
-#: batch-drain loop's typed dispatch.  A grant is processed exactly like
-#: a plain ``Event`` (no ``_process`` override), so the inline arm may
-#: absorb it; anything unregistered falls back to ``_process()``.
-_GRANT_CLASS: Any = None
-_PRIORITY_GRANT_CLASS: Any = None
-
-
-def register_grant_classes(grant: type, priority_grant: type) -> None:
-    """Let the drain loop inline resource grants (called by resources)."""
-    global _GRANT_CLASS, _PRIORITY_GRANT_CLASS
-    _GRANT_CLASS = grant
-    _PRIORITY_GRANT_CLASS = priority_grant
 
 
 class Event:
@@ -182,6 +173,8 @@ class _NullEvent:
 
 
 _BOOTSTRAP_VALUE = _NullEvent()
+
+_new_event = Event.__new__
 
 
 class _LateCall:
@@ -409,6 +402,41 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """An event that triggers at the absolute time ``when``.
+
+        Calendar reservations know the exact instant a hold ends;
+        ``Timeout(when - now)`` would re-derive it as
+        ``now + (when - now)``, which can differ from ``when`` in the
+        last bit.  Scheduling the absolute time keeps a reserved end
+        bitwise equal to the end a FIFO queue would have produced.
+        """
+        if not (self.now <= when < _INF):
+            raise SimulationError(f"cannot schedule at {when!r} (now {self.now!r})")
+        # Flattened Event.__init__: every hold end is one of these.
+        event = _new_event(Event)
+        event.env = self
+        event.callbacks = None
+        event._triggered = True
+        event._processed = False
+        event._value = value
+        heappush(self._queue, (when, self._seq, event))
+        self._seq += 1
+        return event
+
+    def schedule_at(self, event: Event, when: float, value: Any = None) -> Event:
+        """Trigger a pending ``event`` at the absolute time ``when``
+        (:meth:`Event.succeed` for a known future instant)."""
+        if event._triggered:
+            raise SimulationError("event already triggered")
+        if not (self.now <= when < _INF):
+            raise SimulationError(f"cannot schedule at {when!r} (now {self.now!r})")
+        event._triggered = True
+        event._value = value
+        heappush(self._queue, (when, self._seq, event))
+        self._seq += 1
+        return event
+
     def event(self) -> Event:
         return Event(self)
 
@@ -453,8 +481,6 @@ class Environment:
         pop = heappop
         timeout_cls = Timeout
         event_cls = Event
-        grant_cls = _GRANT_CLASS
-        priority_grant_cls = _PRIORITY_GRANT_CLASS
         process_cls = Process
         allof_cls = AllOf
         late_cls = _LateCall
@@ -475,11 +501,9 @@ class Environment:
                 # Process bootstrap, a late call, or an out-of-tree
                 # Event subclass -- falls through below.
                 if (
-                    cls is timeout_cls
+                    cls is event_cls
+                    or cls is timeout_cls
                     or (cls is process_cls and event._started)
-                    or cls is grant_cls
-                    or cls is event_cls
-                    or cls is priority_grant_cls
                     or cls is allof_cls
                 ):
                     event._processed = True
@@ -530,43 +554,6 @@ class Environment:
                                 entry(event)
                         else:
                             callback(event)
-                elif cls is process_cls:
-                    # Bootstrap: first resume of a fresh process
-                    # (``send(None)``) -- the duplicate of the inline
-                    # resume above, with the process itself as target.
-                    event._started = True
-                    try:
-                        target = event._generator.send(None)
-                    except StopIteration as stop:
-                        if event._triggered:
-                            raise SimulationError(
-                                "process event already triggered"
-                            ) from None
-                        event._triggered = True
-                        event._value = stop.value
-                        heappush(queue, (time, self._seq, event))
-                        self._seq += 1
-                    except Exception as exc:
-                        raise ProcessCrashed(event, time, exc) from exc
-                    else:
-                        try:
-                            processed = target._processed
-                        except AttributeError:
-                            raise SimulationError(
-                                f"process yielded"
-                                f" {type(target).__name__},"
-                                " expected an Event"
-                            ) from None
-                        if processed:
-                            target.add_callback(event)
-                        else:
-                            subscribers = target.callbacks
-                            if subscribers is None:
-                                target.callbacks = event
-                            elif subscribers.__class__ is list_cls:
-                                subscribers.append(event)
-                            else:
-                                target.callbacks = [subscribers, event]
                 elif cls is late_cls:
                     event._processed = True
                     event._callback(event)

@@ -4,15 +4,9 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from heapq import heappush
 from typing import Any, Deque, List, Optional, Tuple
 
-from repro.sim.engine import (
-    Environment,
-    Event,
-    SimulationError,
-    register_grant_classes,
-)
+from repro.sim.engine import Environment, Event, SimulationError
 
 
 class Request(Event):
@@ -21,13 +15,7 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, env: Environment, resource: "Resource"):
-        # Flattened Event.__init__ (requests are allocated per task on
-        # the simulation hot path).
-        self.env = env
-        self.callbacks = None
-        self._triggered = False
-        self._processed = False
-        self._value = None
+        super().__init__(env)
         self.resource = resource
 
 
@@ -66,13 +54,7 @@ class Resource:
         req = Request(self.env, self)
         if len(self._users) < self.capacity:
             self._users.append(req)
-            # Inline Event.succeed: a fresh request is never triggered,
-            # so the guard is statically dead (grants are the hottest
-            # schedule site after timeouts; keep in sync with succeed).
-            env = self.env
-            req._triggered = True
-            heappush(env._queue, (env.now, env._seq, req))
-            env._seq += 1
+            req.succeed()
         else:
             self._waiting.append(req)
         return req
@@ -91,11 +73,7 @@ class Resource:
         if self._waiting and len(users) < self.capacity:
             nxt = self._waiting.popleft()
             users.append(nxt)
-            # Inline Event.succeed (see request()).
-            env = self.env
-            nxt._triggered = True
-            heappush(env._queue, (env.now, env._seq, nxt))
-            env._seq += 1
+            nxt.succeed()
 
     def set_capacity(self, capacity: int) -> None:
         """Resize the slot count at simulation time.
@@ -281,11 +259,6 @@ class PriorityResource:
             nxt = self._pop_next()
             self._users.append(nxt)
             nxt.succeed()
-
-
-# Grants have no ``_process`` override, so the batch-drain loop may
-# absorb them into its inline plain-event arm (see engine._drain).
-register_grant_classes(Request, PriorityRequest)
 
 
 class Store:

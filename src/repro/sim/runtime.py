@@ -1,10 +1,18 @@
-"""Simulation runtime: binds platform objects to engine resources.
+"""Simulation runtime: binds platform objects to the event engine.
 
 One :class:`SimRuntime` per experiment run.  Every processor of every
 device becomes a FIFO-served compute station; the wireless LAN becomes
 a single shared half-duplex channel.  All contention effects -- a GPU
-queueing two tiles, two nodes fighting for the air -- emerge from these
-resources.
+queueing two tiles, two nodes fighting for the air -- emerge from them.
+
+Both are capacity-1 FIFOs, so neither queues through a resource: the
+end of the last booked hold (``committed_until``) *is* the calendar.  A
+hold is reserved at ``max(committed_until, now)``, wakes its flow once
+at the end and records its busy interval then -- the same start and end,
+bit for bit, as request -> grant -> timeout -> release, for one event
+instead of three.  A DVFS throttle stretches a hold when it is booked;
+a link degradation re-plans the channel legs it can still affect (see
+:class:`NetworkChannel`).
 
 ``trace_level`` selects how much the run records
 (:data:`~repro.sim.trace.TRACE_FULL` materialises every busy interval,
@@ -21,15 +29,15 @@ commit are byte-equal and the second one is free.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Mapping, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, Generator, Mapping, Optional, Tuple
 
 from repro.dnn.layers import LAYER_CLASSES
 from repro.platform.cluster import Cluster
 from repro.platform.device import Device
 from repro.platform.power import DVFSThrottle
 from repro.platform.processor import Processor
-from repro.sim.engine import Environment, Event, Timeout
-from repro.sim.resources import Resource
+from repro.sim.engine import Environment, Event, SimulationError
 from repro.sim.trace import (
     TRACE_FULL,
     BusyRecorder,
@@ -38,6 +46,8 @@ from repro.sim.trace import (
     check_trace_level,
 )
 
+_INF = float("inf")
+
 #: Load-snapshot reductions over a device's stations.
 LOAD_VIEW_MIN = "min"
 LOAD_VIEW_WEIGHTED = "weighted"
@@ -45,7 +55,8 @@ LOAD_VIEWS = (LOAD_VIEW_MIN, LOAD_VIEW_WEIGHTED)
 
 
 class ProcessorStation:
-    """A processor with a FIFO task queue and busy-interval recording."""
+    """A processor as a FIFO calendar of holds, with busy-interval
+    recording."""
 
     def __init__(
         self,
@@ -59,7 +70,6 @@ class ProcessorStation:
         self.env = env
         self.device = device
         self.processor = processor
-        self._resource = Resource(env, capacity=1)
         self._busy = busy
         self._flops_log = flops_log
         self._runtime = runtime
@@ -68,8 +78,8 @@ class ProcessorStation:
         #: weight in the ``"weighted"`` load view (hoisted: rates are
         #: immutable and the snapshot path is hot).
         self.compute_weight = sum(processor.rate(cls) for cls in LAYER_CLASSES)
-        #: Time at which all currently committed work will have drained;
-        #: lets planners see the backlog of in-flight requests.
+        #: End of the last reserved hold: the calendar of a capacity-1
+        #: FIFO.  Planners read it as the backlog of in-flight requests.
         self.committed_until = 0.0
         #: Time-varying DVFS slowdown (fault injection); factor 1.0 --
         #: the permanent state of fault-free runs -- is skipped on the
@@ -81,47 +91,72 @@ class ProcessorStation:
         """Outstanding committed work on this processor."""
         return max(0.0, self.committed_until - self.env.now)
 
-    def hold(self, duration: float, label: str) -> Generator[Event, None, float]:
-        """Process: the capacity-1 hold protocol every charge uses --
-        commit the backlog, queue for the resource, stay busy for
-        ``duration``, record the interval, release.  Returns the
-        completion time.
+    def reserve(self, duration: float) -> Tuple[float, float]:
+        """Book the next ``duration`` seconds of the calendar and return
+        the hold's ``(start, end)``.
 
-        The one implementation of the protocol.  The executor's compute
-        tasks, fan-out children and controller overheads ``yield from``
-        it directly, so each hold is a single delegated frame;
-        :meth:`run_task` and :meth:`run_overhead` wrap it for callers
-        that work from FLOPs or need the zero-overhead shortcut.
+        A capacity-1 FIFO serves a hold from the moment the previous one
+        ends, so the hold starts at ``max(committed_until, now)`` -- the
+        very instant a request/grant/release queue would grant it.  The
+        DVFS factor in force at booking stretches the hold, so a booked
+        hold never moves.  The caller records the interval with
+        :meth:`record` when ``end`` arrives.
         """
-        env = self.env
+        if not (0.0 <= duration < _INF):
+            raise SimulationError(f"hold duration must be finite and >= 0, got {duration!r}")
         factor = self.throttle.factor
         if factor != 1.0:
             duration = duration * factor
         committed = self.committed_until
-        now = env.now
-        self.committed_until = (committed if committed > now else now) + duration
+        now = self.env.now
+        start = committed if committed > now else now
+        end = start + duration
+        self.committed_until = end
         runtime = self._runtime
         if runtime is not None:
             runtime._load_version += 1
-        request = self._resource.request()
-        try:
-            yield request
-        except BaseException:
-            # Abandoned while queued (the flow around us unwound): give
-            # the claim back and un-commit the backlog, so an aborted
-            # plan leaks neither a grant nor phantom committed work.
-            self._resource.release(request)
-            self.committed_until -= duration
+        return start, end
+
+    def unreserve(self, start: float, end: float, label: str) -> None:
+        """Give back a hold abandoned before its ``end``.
+
+        Work already served is charged.  If no later hold was booked,
+        the calendar rolls back to where the abandoned hold stopped, so
+        an aborted plan leaves no phantom backlog; otherwise the slot
+        stays on the calendar as idle time.
+        """
+        now = self.env.now
+        if now > start:
+            self._busy.record(self.key, start, now, label)
+        if self.committed_until == end:
+            self.committed_until = start if start > now else now
+            runtime = self._runtime
             if runtime is not None:
                 runtime._load_version += 1
-            raise
-        start = env.now
+
+    def record(self, start: float, end: float, label: str) -> None:
+        """Record a finished hold's busy interval (called at ``end``:
+        mid-run readers such as the battery sampler see only work that
+        has completed)."""
+        self._busy.record(self.key, start, end, label)
+
+    def hold(self, duration: float, label: str) -> Generator[Event, None, float]:
+        """Process: reserve ``duration`` on the calendar, wake once at
+        its end, record the interval.  Returns the completion time.
+
+        The executor's compute tasks and controller overheads ``yield
+        from`` it directly; tile fan-outs drive :meth:`reserve` and
+        :meth:`record` from event callbacks instead.  Either way a hold
+        costs one scheduled event.
+        """
+        start, end = self.reserve(duration)
         try:
-            yield Timeout(env, duration)
-        finally:
-            end = env.now
-            self._busy.record(self.key, start, end, label)
-            self._resource.release(request)
+            yield self.env.timeout_at(end)
+        except BaseException:
+            # Abandoned (the flow around us unwound).
+            self.unreserve(start, end, label)
+            raise
+        self.record(start, end, label)
         return end
 
     def run_task(
@@ -157,7 +192,7 @@ class ProcessorStation:
         """Process: hold the processor busy for a fixed overhead.
 
         Controller work (DSE, result merge) occupies the scheduler CPU
-        for exactly ``seconds``: the resource is held for the full
+        for exactly ``seconds``: the hold is booked for the full
         duration (so concurrent requests queue rather than overlap) and
         ``committed_until`` sees it like any compute task.  Returns the
         completion time.
@@ -166,27 +201,57 @@ class ProcessorStation:
             return self.env.now
         return (yield from self.hold(seconds, label))
 
-    @property
-    def queue_length(self) -> int:
-        return self._resource.queue_length + self._resource.in_use
+
+class Transfer:
+    """One reserved leg on the :class:`NetworkChannel` calendar.
+
+    ``event`` fires at ``end`` with the transfer as its value.  Link
+    degradation re-plans a leg that has not finished serialising, so
+    the times (and ``event``) may move until ``hold_end`` has passed.
+    """
+
+    __slots__ = ("src", "dst", "size_bytes", "tag", "requested", "start", "hold_end", "end", "event")
+
+    def __init__(self, src, dst, size_bytes, tag, requested, start, hold_end, end):
+        self.src = src
+        self.dst = dst
+        self.size_bytes = size_bytes
+        self.tag = tag
+        self.requested = requested
+        self.start = start
+        self.hold_end = hold_end
+        self.end = end
+        self.event = None
 
 
 class NetworkChannel:
-    """The shared wireless medium: one transfer at a time.
+    """The shared wireless medium: one transfer at a time, as a FIFO
+    calendar of serialisation holds.
 
-    Fault injection can :meth:`degrade` the medium transiently: a
-    slowdown factor divides the effective bandwidth and multiplies the
-    propagation latency until :meth:`restore`.  Concurrent episodes
-    stack multiplicatively; with none active the hoisted constants are
-    reset to *exactly* the base values, so fault-free transfers stay
-    byte-identical.
+    A leg occupies the medium for its serialisation time, from
+    ``max(committed_until, now)``; the propagation latency elapses
+    after the medium is free.  Fault injection can :meth:`degrade` the
+    medium transiently: a slowdown factor divides the effective
+    bandwidth and multiplies the propagation latency until
+    :meth:`restore`.  Concurrent episodes stack multiplicatively; with
+    none active the hoisted constants are reset to *exactly* the base
+    values, so fault-free transfers stay byte-identical.
+
+    A queue reads the bandwidth when a leg starts serialising and the
+    latency when it stops, so every change re-plans the legs that have
+    not started (from their request times, in FIFO order) and the
+    latency of the leg still serialising.
     """
 
     def __init__(self, env: Environment, cluster: Cluster, log: TransferLog):
         self.env = env
         self.cluster = cluster
-        self._resource = Resource(env, capacity=1)
         self._log = log
+        #: End of the last reserved serialisation hold.
+        self.committed_until = 0.0
+        #: Reserved legs whose serialisation has not ended, FIFO order
+        #: (the only ones a degradation can still move).
+        self._open: Deque[Transfer] = deque()
         # Network constants, hoisted off the per-transfer path.
         self._bandwidth_bytes_s = cluster.network.bandwidth_bytes_s
         self._latency_s = cluster.network.latency_s
@@ -211,45 +276,107 @@ class NetworkChannel:
         if not self._slowdowns:
             self._bandwidth_bytes_s = self._base_bandwidth_bytes_s
             self._latency_s = self._base_latency_s
-            return
-        slowdown = 1.0
-        for factor in self._slowdowns:
-            slowdown *= factor
-        self._bandwidth_bytes_s = self._base_bandwidth_bytes_s / slowdown
-        self._latency_s = self._base_latency_s * slowdown
+        else:
+            slowdown = 1.0
+            for factor in self._slowdowns:
+                slowdown *= factor
+            self._bandwidth_bytes_s = self._base_bandwidth_bytes_s / slowdown
+            self._latency_s = self._base_latency_s * slowdown
+        self._replan()
+
+    def _replan(self) -> None:
+        """Re-time the open legs under the current link constants."""
+        env = self.env
+        now = env.now
+        bandwidth = self._bandwidth_bytes_s
+        latency = self._latency_s
+        previous_end = None
+        for leg in self._prune(now):
+            if leg.start < now:
+                # Serialising: its bandwidth is fixed, its latency not.
+                hold_end = leg.hold_end
+            else:
+                if previous_end is not None:
+                    requested = leg.requested
+                    leg.start = previous_end if previous_end > requested else requested
+                hold_end = leg.hold_end = leg.start + leg.size_bytes / bandwidth
+            previous_end = hold_end
+            end = hold_end + latency
+            if end != leg.end:
+                leg.end = end
+                moved = env.timeout_at(end, leg)
+                moved.callbacks, leg.event.callbacks = leg.event.callbacks, None
+                leg.event = moved
+        if previous_end is not None:
+            self.committed_until = previous_end
+
+    def _prune(self, now: float) -> Deque[Transfer]:
+        """Drop legs whose serialisation is over; return the rest."""
+        legs = self._open
+        while legs and legs[0].hold_end <= now:
+            legs.popleft()
+        return legs
+
+    def reserve(self, src: str, dst: str, size_bytes: int, tag: str = "") -> Transfer:
+        """Book the next serialisation hold for one leg.  Its ``event``
+        fires on delivery; hand the leg to :meth:`deliver` then."""
+        now = self.env.now
+        committed = self.committed_until
+        start = committed if committed > now else now
+        serialisation = size_bytes / self._bandwidth_bytes_s
+        if not (0.0 <= serialisation < _INF):
+            raise SimulationError(f"leg size must be finite and >= 0, got {size_bytes!r}")
+        hold_end = start + serialisation
+        self.committed_until = hold_end
+        leg = Transfer(
+            src, dst, size_bytes, tag, now, start, hold_end, hold_end + self._latency_s
+        )
+        leg.event = self.env.timeout_at(leg.end, leg)
+        self._prune(now).append(leg)
+        return leg
+
+    def unreserve(self, leg: Transfer) -> None:
+        """Give back a leg abandoned before delivery: if it is the last
+        one booked, the medium's calendar rolls back to where it
+        stopped serialising."""
+        now = self.env.now
+        legs = self._open
+        if legs and legs[-1] is leg and now < leg.hold_end:
+            legs.pop()
+            self.committed_until = leg.start if leg.start > now else now
+
+    def deliver(self, leg: Transfer) -> None:
+        """Log a delivered leg (called at ``leg.end``)."""
+        self._log.record(
+            leg.start,
+            leg.end,
+            leg.size_bytes,
+            leg.src,
+            leg.dst,
+            leg.tag,
+            hold_end=leg.hold_end,
+        )
 
     def transmit(
         self, src: str, dst: str, size_bytes: int, tag: str = ""
     ) -> Generator[Event, None, None]:
-        """Process: occupy the channel for the serialisation time, then
-        let the propagation latency elapse and log the transfer.
+        """Process: reserve one leg, wake on its delivery, log it.
 
-        The one implementation of the channel leg: every executor
-        transfer (probe, offload, pipeline block, result) is one
-        ``yield from`` of it.
+        Every executor transfer that waits for its own delivery
+        (offload, pipeline block, result) is one ``yield from`` of it;
+        probe fan-outs drive :meth:`reserve` / :meth:`deliver` from
+        event callbacks.
         """
         if src == dst:
             return
-        env = self.env
-        request = self._resource.request()
+        leg = self.reserve(src, dst, size_bytes, tag)
         try:
-            yield request
+            yield leg.event
         except BaseException:
-            # Abandoned while queued for the medium: hand the claim
-            # back so an aborted flow never wedges the channel.
-            self._resource.release(request)
+            # Abandoned while queued or in flight.
+            self.unreserve(leg)
             raise
-        start = env.now
-        # The medium is held for the serialisation time only;
-        # propagation latency elapses after the channel is free.
-        serialisation = size_bytes / self._bandwidth_bytes_s
-        try:
-            yield Timeout(env, serialisation)
-        finally:
-            self._resource.release(request)
-        hold_end = env.now
-        yield Timeout(env, self._latency_s)
-        self._log.record(start, env.now, size_bytes, src, dst, tag, hold_end=hold_end)
+        self.deliver(leg)
 
 
 class RuntimeSnapshot:

@@ -2,10 +2,10 @@
 
 A linter that passes a clean tree proves little until deleting the
 protocol it guards makes it fail.  These tests AST-transform the
-shipping modules -- strip the release-bearing try/finally from the
-engine's claim holders, strip the trace-level guards from the
-recorders -- and assert the mutants are flagged while the pristine
-sources stay clean.  Because the mutation is structural (applied to
+shipping modules -- drop the hand-off of the serving scheduler's
+in-flight slot claims, strip the release-bearing try/finally from
+claim holders, strip the trace-level guards from the recorders -- and
+assert the mutants are flagged while the pristine sources stay clean.  Because the mutation is structural (applied to
 whatever the file currently contains), the test keeps biting as the
 code evolves.
 """
@@ -44,6 +44,44 @@ class StripReleaseCleanup(ast.NodeTransformer):
         handler_bodies = [stmt for handler in node.handlers for stmt in handler.body]
         if _mentions_release(node.finalbody) or _mentions_release(handler_bodies):
             return node.body + node.orelse
+        return node
+
+
+class StripClaimHandoff(ast.NodeTransformer):
+    """Drop every hand-off of a claim -- the claim passed on to the
+    process that releases it, or parked where that process reads it --
+    the regression of a dispatcher that takes a slot and forgets to
+    pass it on."""
+
+    def visit_Module(self, node: ast.Module):
+        self.claims = {
+            target.id
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Assign)
+            and isinstance(sub.value, ast.Call)
+            and isinstance(sub.value.func, ast.Attribute)
+            and sub.value.func.attr == "request"
+            for target in sub.targets
+            if isinstance(target, ast.Name)
+        }
+        return self.generic_visit(node)
+
+    def _is_claim(self, node) -> bool:
+        return isinstance(node, ast.Name) and node.id in self.claims
+
+    def visit_Assign(self, node: ast.Assign):
+        if self._is_claim(node.value) and any(
+            isinstance(target, (ast.Subscript, ast.Attribute)) for target in node.targets
+        ):
+            return None
+        return self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call):
+        self.generic_visit(node)
+        if not (isinstance(node.func, ast.Attribute) and node.func.attr == "release"):
+            node.args = [
+                ast.Constant(None) if self._is_claim(arg) else arg for arg in node.args
+            ]
         return node
 
 
@@ -90,17 +128,22 @@ def _rule_hits(source: str, module: str, rule: str):
     return [f for f in findings if f.rule == rule and f.actionable]
 
 
-def test_deleting_claim_cleanup_in_runtime_trips_r3():
-    path = SRC / "sim" / "runtime.py"
+def test_dropping_slot_handoff_in_sharded_trips_r3():
+    # Station and channel holds are calendar reservations and claim
+    # nothing; the claims left on the serving path are the in-flight
+    # slots of ``PriorityResource``, handed from the dispatcher (and
+    # the preemption checkpoint) to the process that releases them.
+    path = SRC / "serving" / "sharded.py"
     pristine = path.read_text(encoding="utf-8")
-    assert _rule_hits(pristine, "repro.sim.runtime", "R3") == []
+    assert _rule_hits(pristine, "repro.serving.sharded", "R3") == []
 
-    mutant = _mutate(path, StripReleaseCleanup())
-    assert "finally" not in mutant or ".release(" not in mutant.split("finally")[1][:200]
-    hits = _rule_hits(mutant, "repro.sim.runtime", "R3")
-    # The two claim sites -- ProcessorStation.hold and
-    # NetworkChannel.transmit -- both lose their release paths.
-    assert len(hits) >= 2, "\n".join(f.format() for f in hits)
+    mutant = _mutate(path, StripClaimHandoff())
+    hits = _rule_hits(mutant, "repro.serving.sharded", "R3")
+    # Both slot claims -- the dispatcher's and the checkpoint's
+    # re-request -- lose their hand-off.
+    assert {hit.message.split("'")[1] for hit in hits} == {"slot", "resumed"}, "\n".join(
+        f.format() for f in hits
+    )
 
 
 def test_deleting_claim_cleanup_in_resources_trips_r3():

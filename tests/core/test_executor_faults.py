@@ -5,11 +5,11 @@ Two regression families:
 - A fan-out killed mid-tile by a real :class:`~repro.faults.FaultInjector`
   timeline must surface a structured :class:`DeviceLostError` from the
   executor with no busy-interval overlaps and **zero leaked grants** --
-  every station resource and the network medium end idle.
-- The latent cleanup bug this PR fixes: a flow abandoned while *queued*
-  for a station or the network (generator closed at the grant wait) must
-  hand the claim back and un-commit its backlog, instead of wedging the
-  capacity-1 resource forever.
+  no station or network calendar is booked past the end of the run.
+- A flow abandoned while *queued* for a station or the network
+  (generator closed before its reserved hold starts) must hand its
+  reservation back -- roll the calendar back exactly and tell the
+  planners -- instead of leaving phantom backlog behind.
 """
 
 import pytest
@@ -78,12 +78,11 @@ def _run(events):
 
 
 def _assert_no_leaked_grants(runtime):
+    now = runtime.env.now
     for device in runtime.cluster.devices:
         for station in runtime.stations_of(device.name):
-            assert station.queue_length == 0, station.key
-    medium = runtime.network._resource
-    assert medium.in_use == 0
-    assert medium.queue_length == 0
+            assert station.committed_until <= now, station.key
+    assert runtime.network.committed_until <= now
 
 
 class TestMidPlanDeviceLoss:
@@ -137,8 +136,9 @@ class TestMidPlanDeviceLoss:
 
 
 class TestAbandonedGrantWaits:
-    """The latent executor-cleanup bug: abandoning a flow parked on a
-    capacity-1 grant must release the claim and un-commit the backlog."""
+    """Abandoning a flow whose hold is booked but not yet served must
+    roll the calendar back exactly and bump the load version, so
+    planners stop seeing the backlog."""
 
     def _station(self):
         cluster = build_cluster(["jetson_tx2", "jetson_orin_nx"])
@@ -148,53 +148,58 @@ class TestAbandonedGrantWaits:
     def test_run_task_abandoned_while_queued(self):
         runtime, station = self._station()
         hog = station.run_overhead(1.0, "hog")
-        next(hog)  # granted immediately: the slot is now held
-        assert station.queue_length == 1
+        next(hog)  # booked [0, 1]
+        assert station.committed_until == 1.0
 
         waiter = station.run_task({"conv": 10**9}, label="waiter")
         committed_before = station.committed_until
-        version_before = runtime._load_version
-        next(waiter)  # commits its backlog, parks behind the hog
-        assert station.queue_length == 2
+        next(waiter)  # booked behind the hog
         assert station.committed_until > committed_before
+        version_booked = runtime._load_version
 
-        waiter.close()  # GeneratorExit at the parked grant
-        assert station.queue_length == 1  # claim handed back
-        assert station.committed_until == pytest.approx(committed_before)
-        assert runtime._load_version > version_before  # planners see the un-commit
+        waiter.close()  # GeneratorExit before its hold starts
+        assert station.committed_until == committed_before
+        assert runtime._load_version > version_booked  # planners see it
 
+        # The last booking abandoned mid-hold: the served part is
+        # charged and the calendar ends now.
+        runtime.env.run(until=0.25)
         hog.close()
-        assert station.queue_length == 0
+        assert runtime.busy.busy_seconds(station.key) == 0.25
+        assert station.committed_until == 0.25
 
     def test_hold_abandoned_while_queued(self):
-        _, station = self._station()
+        runtime, station = self._station()
         hog = station.run_overhead(1.0, "hog")
-        next(hog)
+        next(hog)  # booked [0, 1]
         waiter = station.run_overhead(0.5, "waiter")
-        committed_before = station.committed_until
-        next(waiter)
-        assert station.queue_length == 2
+        next(waiter)  # booked [1, 1.5]
+        late = station.run_overhead(0.25, "late")
+        next(late)  # booked [1.5, 1.75]
+        # Not the last booking: the slot stays on the calendar as idle
+        # time, and the later hold keeps its place.
         waiter.close()
-        assert station.queue_length == 1
-        assert station.committed_until == pytest.approx(committed_before)
-        hog.close()
+        assert station.committed_until == 1.75
+        late.close()
+        assert station.committed_until == 1.5
+        assert runtime.busy.busy_seconds(station.key) == 0.0
 
     def test_transmit_abandoned_while_queued(self):
         cluster = build_cluster(["jetson_tx2", "jetson_orin_nx"])
         runtime = SimRuntime(cluster)
-        medium = runtime.network._resource
+        medium = runtime.network
 
-        first = runtime.network.transmit("jetson_tx2", "jetson_orin_nx", 10**6, tag="hog")
-        next(first)  # granted: the medium is held
-        assert medium.in_use == 1
+        first = medium.transmit("jetson_tx2", "jetson_orin_nx", 10**6, tag="hog")
+        next(first)  # booked from t=0
+        first_end = medium.committed_until
+        assert first_end > 0.0
 
-        second = runtime.network.transmit("jetson_orin_nx", "jetson_tx2", 10**6, tag="wait")
-        next(second)  # parked behind the hog
-        assert medium.queue_length == 1
+        second = medium.transmit("jetson_orin_nx", "jetson_tx2", 10**6, tag="wait")
+        next(second)  # booked behind the hog
+        assert medium.committed_until > first_end
 
         second.close()
-        assert medium.queue_length == 0  # abandoned claim handed back
-        assert medium.in_use == 1  # the hog is unaffected
-
+        assert medium.committed_until == first_end  # handed back exactly
         first.close()
-        assert medium.in_use == 0  # held grant released on abandon too
+        assert medium.committed_until == 0.0
+        assert runtime.transfer_log.count == 0  # nothing was delivered

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.platform.cluster import build_cluster
+from repro.sim.engine import SimulationError
 from repro.sim.runtime import SimRuntime
 
 
@@ -246,3 +247,32 @@ class TestNetworkChannel:
         entry = runtime.transfer_log.entries[0]
         assert entry.hold_seconds == pytest.approx(serialisation)
         assert entry.delivery_seconds == pytest.approx(serialisation + net.latency_s)
+
+
+class TestCalendarValidation:
+    """Malformed holds fail when booked, as a negative timeout did."""
+
+    def test_negative_or_nan_hold_rejected(self, runtime):
+        station = runtime.station("jetson_tx2", "gpu_pascal")
+        for bad in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(SimulationError, match="hold duration"):
+                next(station.hold(bad, "bad"))
+        assert station.committed_until == 0.0
+
+    def test_negative_leg_rejected(self, runtime):
+        with pytest.raises(SimulationError, match="leg size"):
+            next(runtime.network.transmit("jetson_tx2", "jetson_nano", -10))
+        assert runtime.network.committed_until == 0.0
+
+    def test_schedule_in_the_past_rejected(self, runtime):
+        env = runtime.env
+        env.run(until=1.0)
+        with pytest.raises(SimulationError):
+            env.timeout_at(0.5)
+        with pytest.raises(SimulationError):
+            env.schedule_at(env.event(), float("nan"))
+        done = env.schedule_at(env.event(), 1.5, "x")
+        with pytest.raises(SimulationError, match="already triggered"):
+            env.schedule_at(done, 2.0)
+        env.run()
+        assert env.now == 1.5 and done.value == "x"
