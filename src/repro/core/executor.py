@@ -52,6 +52,7 @@ from repro.core.fsm import (
     STATE_MAP,
     STATE_OFFLOAD,
 )
+from repro.core.memo import Memo, Ref
 from repro.core.plans import (
     ExecutionPlan,
     LOCAL_DATA,
@@ -87,9 +88,9 @@ class _TaskSpec:
     """One local task, compiled to flat constants.
 
     Everything a task flow touches per execution -- the station, the
-    memoised durations and the record arguments -- resolved once per
-    (plan, run) so the per-serve generators do no graph walks, no dict
-    sums and no attribute chains.
+    durations and the record arguments -- resolved once per compile so
+    the per-serve generators do no graph walks, no dict sums and no
+    attribute chains.
     """
 
     __slots__ = (
@@ -117,11 +118,9 @@ class _TaskSpec:
 class _CompiledLocal:
     """A :class:`LocalExec` compiled against one runtime's stations."""
 
-    __slots__ = ("device", "label", "mode", "specs", "stages")
+    __slots__ = ("mode", "specs", "stages")
 
-    def __init__(self, device, label, mode, specs, stages=None):
-        self.device = device
-        self.label = label
+    def __init__(self, mode, specs, stages=None):
         self.mode = mode
         self.specs = specs
         self.stages = stages
@@ -257,78 +256,32 @@ class PlanExecutor:
         # skip them (results carry empty traces) like every other
         # per-entry record.
         self._record_fsm = runtime.trace_level == TRACE_FULL
-        # The memos below are stored only on the simulation fast path
-        # (``REPRO_SIM_FASTPATH``): the reference configuration runs the
-        # same flows but recomputes every value per execution, so the
-        # hatch matrix pins each memo against a fresh computation.
+        # Compiled local execs (see _compiled_local), stored only on the
+        # simulation fast path (``REPRO_SIM_FASTPATH``): the reference
+        # configuration runs the same flows but compiles every local per
+        # execution, so the hatch matrix pins the memo against a fresh
+        # compile.
         self._fast = runtime.env._fast
-        # Task durations are pure functions of the (immutable) task and
-        # its processor; serving runs execute the same cached plan's
-        # tasks thousands of times.  Values pin the task so the id key
-        # stays unambiguous.
-        self._task_seconds: dict = {}
-        # Intra-device transfer times, keyed by (device, size): the
-        # same plan moves the same tensors every execution.
-        self._devices = {device.name: device for device in runtime.cluster.devices}
-        self._transfer_seconds: dict = {}
-        # Compiled local execs (see _compiled_local) and the per-device
-        # scheduler-CPU station memo.
-        self._compiled: dict = {}
-        self._scheduler_stations: dict = {}
+        self._compiled = Memo(self.COMPILED_MAX)
+        # The station hosting each device's middleware controller: the
+        # first CPU, else the first processor.  The cluster's processor
+        # layout is fixed for the lifetime of a run.
+        self._scheduler_stations = {
+            device.name: runtime.station(
+                device.name,
+                next(
+                    (proc for proc in device.processors if proc.kind == KIND_CPU),
+                    device.processors[0],
+                ).name,
+            )
+            for device in runtime.cluster.devices
+        }
 
-    def _local_transfer_seconds(self, device_name: str, size_bytes: int) -> float:
-        key = (device_name, size_bytes)
-        seconds = self._transfer_seconds.get(key)
-        if seconds is None:
-            seconds = self._devices[device_name].transfer_seconds(size_bytes)
-            if self._fast:
-                if len(self._transfer_seconds) > self.TASK_SECONDS_MAX:
-                    self._transfer_seconds.clear()
-                self._transfer_seconds[key] = seconds
-        return seconds
-
-    def _task_costs(self, station, task) -> tuple:
-        """(duration, total FLOPs) of a task, memoised by task identity."""
-        key = id(task)
-        hit = self._task_seconds.get(key)
-        if hit is not None and hit[0] is task:
-            return hit[1], hit[2]
-        duration = station.processor.task_seconds(
-            task.flops_by_class, num_ops=task.num_ops, pinned=task.pinned
-        )
-        total_flops = sum(task.flops_by_class.values())
-        if self._fast:
-            self._task_seconds[key] = (task, duration, total_flops)
-            if len(self._task_seconds) > self.TASK_SECONDS_MAX:
-                self._task_seconds.pop(next(iter(self._task_seconds)))
-        return duration, total_flops
-
-    #: Bound on the task-duration memo (a serving process cycles
-    #: through at most the plan cache's working set of tasks).
-    TASK_SECONDS_MAX = 16384
+    #: Bound on the compiled-local memo (a serving process cycles
+    #: through at most the plan cache's working set of locals).
+    COMPILED_MAX = 16384
 
     # Helpers ----------------------------------------------------------------
-
-    def _scheduler_station(self, device_name: str):
-        """The processor hosting the middleware controller (first CPU).
-
-        Memoised per device on the fast path: the cluster's processor
-        layout is fixed for the lifetime of a run.
-        """
-        station = self._scheduler_stations.get(device_name)
-        if station is not None:
-            return station
-        device = self.runtime.cluster.device(device_name)
-        station = None
-        for proc in device.processors:
-            if proc.kind == KIND_CPU:
-                station = self.runtime.station(device_name, proc.name)
-                break
-        if station is None:
-            station = self.runtime.station(device_name, device.processors[0].name)
-        if self._fast:
-            self._scheduler_stations[device_name] = station
-        return station
 
     def _busy(self, device_name: str, seconds: float, label: str):
         """Charge controller overhead as busy time on the scheduler CPU.
@@ -347,7 +300,7 @@ class PlanExecutor:
         """
         if seconds <= 0:
             return ()
-        return self._scheduler_station(device_name).hold(seconds, label)
+        return self._scheduler_stations[device_name].hold(seconds, label)
 
     def charge_overhead(self, device_name: str, seconds: float, label: str):
         """Process: charge controller time on a device's scheduler CPU.
@@ -355,11 +308,17 @@ class PlanExecutor:
         Public entry point for schedulers that account planning work
         outside :meth:`execute` (e.g. batched co-planning charged once
         per backlog at the dispatcher); ``yield from`` the result.
-        Non-finite ``seconds`` raise :class:`ValueError` here, at the
-        boundary, rather than as a non-finite timeout inside the engine.
+        Negative or non-finite ``seconds`` raise :class:`ValueError`
+        and a device outside the cluster raises :class:`KeyError` here,
+        at the boundary, rather than as a bad timeout inside the engine
+        or a silently dropped charge.
         """
-        if not math.isfinite(seconds):
-            raise ValueError(f"overhead seconds must be finite, got {seconds!r}")
+        if not math.isfinite(seconds) or seconds < 0:
+            raise ValueError(f"overhead seconds must be finite and >= 0, got {seconds!r}")
+        if device_name not in self._scheduler_stations:
+            raise KeyError(
+                f"no device {device_name!r} in cluster {self.runtime.cluster.name!r}"
+            )
         return self._busy(device_name, seconds, label)
 
     def _pause_point(self, checkpoint: Optional[Checkpoint]) -> Generator[Event, None, None]:
@@ -454,68 +413,53 @@ class PlanExecutor:
 
         Serving runs execute the same cached plan's locals thousands of
         times; resolving stations, durations and transfer times once
-        per (plan, run) removes every per-serve recomputation.  Keyed
-        by identity with the local pinned in the value (so an id reuse
-        after eviction can never alias), revalidated against the
-        device/label binding, which is fixed per assignment.
+        per (local, device, label) removes every per-serve
+        recomputation.  The local is keyed by identity (a
+        :class:`~repro.core.memo.Ref`, which also pins it), so an equal
+        but distinct local compiles afresh.
         """
-        key = id(local)
-        hit = self._compiled.get(key)
-        if hit is not None and hit[0] is local:
-            compiled = hit[1]
-            if compiled.device == device_name and compiled.label == label:
+        key = (Ref(local), device_name, label)
+        if self._fast:
+            compiled = self._compiled.get(key)
+            if compiled is not None:
                 return compiled
         runtime = self.runtime
 
         def spec_of(task, with_out: bool) -> _TaskSpec:
             station = runtime.station(device_name, task.processor)
-            duration, total_flops = self._task_costs(station, task)
+            device = station.device
             return _TaskSpec(
                 station,
-                self._local_transfer_seconds(device_name, task.input_bytes),
-                duration,
-                self._local_transfer_seconds(device_name, task.output_bytes)
-                if with_out
-                else 0.0,
+                device.transfer_seconds(task.input_bytes),
+                station.processor.task_seconds(
+                    task.flops_by_class, num_ops=task.num_ops, pinned=task.pinned
+                ),
+                device.transfer_seconds(task.output_bytes) if with_out else 0.0,
                 task.label or label,
-                total_flops,
+                sum(task.flops_by_class.values()),
             )
 
         mode = local.mode
         if mode == LOCAL_DATA:
             compiled = _CompiledLocal(
-                device_name,
-                label,
                 mode,
                 specs=[spec_of(local.tail, False)] if local.tail is not None else [],
                 stages=[[spec_of(task, True) for task in local.tasks]],
             )
         elif mode == LOCAL_STAGED:
             compiled = _CompiledLocal(
-                device_name,
-                label,
                 mode,
                 specs=[],
                 stages=[[spec_of(task, True) for task in stage] for stage in local.stages],
             )
         elif mode == LOCAL_SINGLE:
-            compiled = _CompiledLocal(
-                device_name,
-                label,
-                mode,
-                specs=[spec_of(local.tasks[0], False)],
-            )
+            compiled = _CompiledLocal(mode, specs=[spec_of(local.tasks[0], False)])
         else:  # pipeline
             compiled = _CompiledLocal(
-                device_name,
-                label,
-                mode,
-                specs=[spec_of(task, False) for task in local.tasks],
+                mode, specs=[spec_of(task, False) for task in local.tasks]
             )
         if self._fast:
-            self._compiled[key] = (local, compiled)
-            if len(self._compiled) > self.TASK_SECONDS_MAX:
-                self._compiled.pop(next(iter(self._compiled)))
+            self._compiled.put(key, compiled)
         return compiled
 
     def _map_overhead(self, device_name: str, local: LocalExec):

@@ -576,22 +576,9 @@ class HiDPStrategy(Strategy):
         """
         effective = self.effective_load(load)
         leader = self.resolve_leader(cluster, leader)
-        # cache_key's layout with the per-batch invariants (availability
-        # signature, leader, quantised load) hoisted out of the per-graph
-        # loop -- the load quantisation alone is a sort plus a bucket pass
-        # per call; keep the tuple shape in sync with Strategy.cache_key.
-        signature = cluster.availability_signature()
-        load_key = self.load_key(effective)
-        if partition is None:
-            keys = [
-                (graph.name, cluster.name, signature, leader, load_key)
-                for graph in graphs
-            ]
-        else:
-            keys = [
-                (partition, graph.name, cluster.name, signature, leader, load_key)
-                for graph in graphs
-            ]
+        keys = self.cache_keys(
+            graphs, cluster, effective, leader=leader, partition=partition
+        )
         # Resolve against the cache up front: re-reading after the
         # inserts below could KeyError if this very batch's new plans
         # evicted a pre-existing key from the LRU.

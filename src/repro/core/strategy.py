@@ -172,16 +172,17 @@ class Strategy(abc.ABC):
             (name, self.load_bucket(backlog)) for name, backlog in sorted(load.items())
         )
 
-    def cache_key(
+    def cache_keys(
         self,
-        graph: DNNGraph,
+        graphs: Sequence[DNNGraph],
         cluster: Cluster,
         load: Optional[Mapping[str, float]] = None,
         leader: Optional[str] = None,
         partition: Optional[object] = None,
-    ) -> Tuple:
-        """Plan-cache key: (model, cluster, availability, leader, load
-        buckets), optionally namespaced by a cache ``partition``.
+    ) -> List[Tuple]:
+        """Plan-cache keys of ``graphs``, one per graph: (model,
+        cluster, availability, leader, load buckets), optionally
+        namespaced by a cache ``partition``.
 
         ``load`` must already be the effective (strategy-filtered)
         load; ``leader`` is resolved so ``None`` and the default
@@ -190,18 +191,17 @@ class Strategy(abc.ABC):
         scheduler's workload-clustered mode keys each shard's plans by
         its shard index, so one shard's churn never evicts another
         specialist's hot cluster); ``None`` keeps the historical
-        unpartitioned key byte-for-byte.
+        unpartitioned key byte-for-byte.  The availability signature,
+        the leader and the load quantisation (a sort plus a bucket
+        pass) are computed once per call, not per graph.
         """
-        key = (
-            graph.name,
-            cluster.name,
+        shared = (
             cluster.availability_signature(),
             self.resolve_leader(cluster, leader),
             self.load_key(load),
         )
-        if partition is None:
-            return key
-        return (partition,) + key
+        prefix = () if partition is None else (partition,)
+        return [prefix + (graph.name, cluster.name) + shared for graph in graphs]
 
     def plan(
         self,
@@ -230,8 +230,8 @@ class Strategy(abc.ABC):
         """
         effective = self.effective_load(load)
         resolved = self.resolve_leader(cluster, leader)
-        key = self.cache_key(
-            graph, cluster, effective, leader=resolved, partition=partition
+        (key,) = self.cache_keys(
+            (graph,), cluster, effective, leader=resolved, partition=partition
         )
         cached = self._cache.get(key)
         if cached is not None:
@@ -284,11 +284,15 @@ class Strategy(abc.ABC):
         the paper's run-time scheduler reuses DSE results for known
         workloads.
         """
-        effective = self.effective_load(load)
-        keys = {
-            self.cache_key(graph, cluster, effective, leader=leader, partition=partition)
-            for graph in graphs
-        }
+        keys = set(
+            self.cache_keys(
+                graphs,
+                cluster,
+                self.effective_load(load),
+                leader=leader,
+                partition=partition,
+            )
+        )
         return sum(1 for key in keys if key not in self._cache)
 
     def _cache_put(self, key: Tuple, plan: ExecutionPlan) -> None:

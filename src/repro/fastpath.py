@@ -12,11 +12,11 @@ executable specification:
   :func:`fastpath_enabled`.
 - ``REPRO_SIM_FASTPATH=0`` forces the reference simulation engine:
   the seed drain loop, process bootstrap and late-callback events of
-  :mod:`repro.sim.engine`.  It also turns off the memo *stores* of the
-  layers above -- the executor's task/transfer/station/compiled-local
-  memos, the runtime's load snapshots and the dispatcher's bucket
-  memo -- so those layers run the same code but recompute every value.
-  No executor or station control flow depends on it.
+  :mod:`repro.sim.engine`.  It also turns off the two memo *stores* of
+  the layers above -- the executor's compiled locals and the sharded
+  dispatcher's (load snapshot, load bucket) pair -- so those layers run
+  the same code but recompute every value.  The runtime memoises
+  nothing, and no executor or station control flow depends on it.
   :func:`sim_fastpath_enabled` is captured per
   :class:`~repro.sim.engine.Environment` at construction.
 

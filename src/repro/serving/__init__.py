@@ -144,9 +144,9 @@ materialising every busy interval, FLOPs completion, transfer and FSM
 transition -- the event schedule and every reported latency are
 byte-identical either way, only the per-entry views disappear.  The
 simulation itself runs on the optimized engine drain
-(``REPRO_SIM_FASTPATH=0`` restores the seed engine loop and turns the
-executor/runtime/dispatcher memo stores off, so every memoised value is
-recomputed) and planning on the batched DSE kernels (``REPRO_DSE_FASTPATH=0`` restores the pure-Python
+(``REPRO_SIM_FASTPATH=0`` restores the seed engine loop and turns off
+the executor's compiled-local memo and the dispatcher's load memo, so
+every memoised value is recomputed) and planning on the batched DSE kernels (``REPRO_DSE_FASTPATH=0`` restores the pure-Python
 reference); ``benchmarks/test_bench_engine.py`` pins schedule
 equivalence across all of these on a 5000-request stream and gates the
 combined speedup.

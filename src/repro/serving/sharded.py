@@ -611,24 +611,23 @@ class ShardedScheduler:
             stolen_in[shard] += moved
             return moved
 
-        # The load bucket is a pure function of the snapshot, which is
-        # itself a pure function of (clock, commitment version); memoise
-        # it per state token so the per-dispatch drift check costs a
-        # tuple compare instead of a quantisation pass.  Rides the sim
-        # fast path so the reference configuration keeps the seed cost.
-        bucket_memo = [None, None]
-        memoise_buckets = env._fast
+        # The load snapshot and its bucket are pure functions of (clock,
+        # commitment version); memoise the pair per state token so the
+        # per-dispatch drift check costs one lookup instead of a snapshot
+        # and a quantisation pass.  Rides the sim fast path, so the
+        # reference configuration recomputes both every time.
+        memoise_loads = env._fast
+        last = [None, None]  # [token, (load, bucket)]
 
-        def bucket_of(load) -> object:
-            if not memoise_buckets:
-                return self._bucket_key(load)
+        def load_and_bucket():
             token = (env.now, runtime._load_version)
-            if bucket_memo[0] == token:
-                return bucket_memo[1]
-            bucket = self._bucket_key(load)
-            bucket_memo[0] = token
-            bucket_memo[1] = bucket
-            return bucket
+            if memoise_loads and last[0] == token:
+                return last[1]
+            load = runtime.load_snapshot(view=self.load_view)
+            pair = (load, self._bucket_key(load))
+            if memoise_loads:
+                last[:] = token, pair
+            return pair
 
         def dispatcher(shard: int):
             queue = queues[shard]
@@ -669,8 +668,7 @@ class ShardedScheduler:
                 donate(shard)
                 # Urgent-first dispatch order; stable, so FIFO per class.
                 batch.sort(key=lambda request: request.priority)
-                load = runtime.load_snapshot(view=self.load_view)
-                batch_bucket = bucket_of(load)
+                load, batch_bucket = load_and_bucket()
                 batch_avail = (
                     self.cluster.availability_signature() if fault_mode else None
                 )
@@ -692,8 +690,7 @@ class ShardedScheduler:
                         preempt=self.preemption,
                     )
                     yield slot  # backpressure: wait for an in-flight slot
-                    current = runtime.load_snapshot(view=self.load_view)
-                    current_bucket = bucket_of(current)
+                    current, current_bucket = load_and_bucket()
                     drifted = current_bucket != batch_bucket
                     if fault_mode and not drifted:
                         # Availability drift: a device joined or left

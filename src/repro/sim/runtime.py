@@ -21,10 +21,11 @@ FLOPs completion and transfer exactly as the seed runtime did;
 for large-scale serving streams).  The simulated event schedule is
 identical either way -- recording never schedules events.
 
-Load snapshots are memoised per (sim time, commitment version) on the
-engine fast path: a snapshot is a pure function of the stations'
-committed backlogs and the clock, so two snapshots with no intervening
-commit are byte-equal and the second one is free.
+A load snapshot is a pure function of the stations' committed backlogs
+and the clock, so it is recomputed on every call; the runtime memoises
+nothing.  ``_load_version`` counts commitments, so a caller that reads
+the load repeatedly can key its own memo on ``(now, _load_version)``
+(the sharded dispatcher does, on the engine fast path).
 """
 
 from __future__ import annotations
@@ -380,10 +381,10 @@ class NetworkChannel:
 
 
 class RuntimeSnapshot:
-    """A paused run's engine state plus the runtime-side cache keys.
+    """A paused run's engine state plus the runtime's load version.
 
     Wraps the engine's :class:`~repro.sim.engine.EngineSnapshot` and the
-    load-snapshot version counter; valid under the same window (nothing
+    commitment counter ``_load_version``; valid under the same window (nothing
     processed since capture).  Produced by :meth:`SimRuntime.snapshot`.
     """
 
@@ -418,10 +419,9 @@ class SimRuntime:
         #: availability gates are dormant while this is ``None``).
         self.faults = None
         self._stations: Dict[Tuple[str, str], ProcessorStation] = {}
-        #: Bumped whenever any station's committed backlog changes; the
-        #: load-snapshot memo keys on (now, version, view).
+        #: Bumped whenever any station's committed backlog changes, so
+        #: (now, version) identifies a load snapshot.
         self._load_version = 0
-        self._snapshot_cache: Optional[Tuple[Tuple, Dict[str, float]]] = None
         for device in cluster.devices:
             for processor in device.processors:
                 self._stations[(device.name, processor.name)] = ProcessorStation(
@@ -491,30 +491,14 @@ class SimRuntime:
         ``view`` selects the per-station reduction (see
         :meth:`device_backlog`); the default ``"min"`` preserves the
         historical optimistic snapshot for legacy callers.
-
-        On the engine fast path the result is memoised until the clock
-        advances or a station commits new work (the snapshot is a pure
-        function of both), so the dispatcher's repeated same-instant
-        snapshots cost one dict copy.
         """
-        if self.env._fast:
-            key = (self.env.now, self._load_version, view)
-            cached = self._snapshot_cache
-            if cached is not None and cached[0] == key:
-                return dict(cached[1])
-            snapshot = {
-                device.name: self.device_backlog(device.name, view=view)
-                for device in self.cluster.devices
-            }
-            self._snapshot_cache = (key, snapshot)
-            return dict(snapshot)
         return {
             device.name: self.device_backlog(device.name, view=view)
             for device in self.cluster.devices
         }
 
     def snapshot(self) -> RuntimeSnapshot:
-        """Capture the paused run: engine state + runtime cache keys.
+        """Capture the paused run: engine state + load version.
 
         Station backlogs, trace aggregates and channel state live in
         objects referenced by the pending generator frames, so the
@@ -531,13 +515,11 @@ class SimRuntime:
         """Rewind to a snapshot taken on this runtime.
 
         Delegates the heap/clock/counter rewind to the engine (which
-        validates nothing was processed since capture) and drops the
-        load-snapshot memo -- its key includes the clock, which may
-        alias after a rewind over scheduled-then-discarded events.
+        validates nothing was processed since capture) and rewinds the
+        load version with it.
         """
         self.env.restore(snapshot.engine)
         self._load_version = snapshot.load_version
-        self._snapshot_cache = None
 
     @property
     def now(self) -> float:

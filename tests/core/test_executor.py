@@ -218,15 +218,33 @@ class TestControllerContention:
         station = runtime.station("jetson_tx2", "cpu_denver2")
         assert station.backlog_seconds == pytest.approx(0.49)
 
-    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "seconds",
+        [
+            float("nan"),
+            float("inf"),
+            pytest.param(float("-inf"), id="-inf"),
+            pytest.param(-0.5, id="negative"),
+        ],
+    )
     def test_charge_overhead_rejects_non_finite_seconds(self, seconds):
+        # Negative seconds are rejected too: they would charge nothing.
         cluster = build_cluster(["jetson_tx2", "jetson_orin_nx"])
         runtime = SimRuntime(cluster)
         executor = PlanExecutor(runtime)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite and >= 0"):
             executor.charge_overhead("jetson_tx2", seconds, "batch_dse")
         station = runtime.station("jetson_tx2", "cpu_denver2")
         assert station.committed_until == 0.0
+
+    def test_charge_overhead_rejects_unknown_device(self):
+        cluster = build_cluster(["jetson_tx2", "jetson_orin_nx"])
+        executor = PlanExecutor(SimRuntime(cluster))
+        with pytest.raises(KeyError, match=f"'jetson_nano'.*'{cluster.name}'"):
+            executor.charge_overhead("jetson_nano", 0.5, "batch_dse")
+        # A zero charge still names the device rather than passing.
+        with pytest.raises(KeyError, match="jetson_nano"):
+            executor.charge_overhead("jetson_nano", 0.0, "batch_dse")
 
 
 class TestLocalExecModes:

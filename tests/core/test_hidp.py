@@ -82,6 +82,26 @@ class TestCaching:
         assert base is similar  # same 50 ms bucket
         assert base is not different
 
+    def test_cache_keys_layout(self, strategy, cluster):
+        graphs = [build_model("vgg19"), build_model("resnet152")]
+        load = {"jetson_orin_nx": 0.12, "jetson_tx2": 0.0}
+        shared = (
+            cluster.availability_signature(),
+            cluster.leader.name,
+            (("jetson_orin_nx", 2), ("jetson_tx2", 0)),
+        )
+        assert strategy.cache_keys(graphs, cluster, load) == [
+            ("vgg19", cluster.name) + shared,
+            ("resnet152", cluster.name) + shared,
+        ]
+        assert strategy.cache_keys(graphs[:1], cluster, load, partition=3) == [
+            (3, "vgg19", cluster.name) + shared
+        ]
+        # plan, plan_batch and uncached_plans all key through it.
+        plans = strategy.plan_batch(graphs, cluster, load=load, partition=3)
+        assert strategy.uncached_plans(graphs, cluster, load=load, partition=3) == 0
+        assert strategy.plan(graphs[1], cluster, load=load, partition=3) is plans[1]
+
     def test_clear_cache(self, strategy, cluster):
         graph = build_model("vgg19")
         first = strategy.plan(graph, cluster)

@@ -112,13 +112,12 @@ class TestEngineSnapshot:
 
 
 class TestRuntimeSnapshot:
-    def test_runtime_restore_drops_load_memo(self):
+    def test_runtime_restore_rewinds_load_version(self):
         runtime = SimRuntime(build_cluster())
-        runtime.load_snapshot()  # primes the memo on the fast path
+        runtime.load_snapshot()
         snap = runtime.snapshot()
         assert snap.sim_time == 0.0
         runtime.restore(snap)
-        assert runtime._snapshot_cache is None
         assert runtime._load_version == snap.load_version
 
 
