@@ -32,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.core.hidp as hidp
 from repro.core.dp import clear_result_memos
 from repro.core.hidp import HiDPStrategy
 from repro.dnn.models import MODEL_NAMES, build_model
@@ -47,12 +48,21 @@ SWEEP_LOADS = 8
 SWEEP_REPEATS = 3
 
 
+def forget_plans():
+    """Empty the process-lifetime plan, local-decision and local
+    partitioner memos, so the next plan runs the whole global and local
+    search; the DP memos stay warm."""
+    for memo in (hidp._PLANS, hidp._LOCAL_DECISIONS, hidp._LOCAL_PARTITIONERS):
+        memo.clear()
+
+
 @pytest.mark.parametrize("model", MODEL_NAMES)
 def test_bench_dse_overhead(benchmark, cluster, model):
     graph = build_model(model)
     graph.segments()  # segment extraction is cached on the graph
 
     def plan_cold():
+        forget_plans()
         strategy = HiDPStrategy()
         return strategy.plan(graph, cluster)
 
@@ -90,12 +100,15 @@ def _time_reference_cold(model, cluster, repeats=3):
 
 
 def _time_fastpath_warm(model, cluster, repeats=5):
-    """Fast path in steady state: shared graph, fresh strategy per plan."""
+    """Fast path in steady state: shared graph and warm DP memos, fresh
+    strategy per plan.  The plan and local-tier memos are emptied before
+    each timed plan, which would otherwise time a memo lookup."""
     times = []
     with _fastpath_env("1"):
         graph = build_model(model, fresh=True)
         HiDPStrategy().plan(graph, cluster)  # warm the plan-level caches once
         for _ in range(repeats):
+            forget_plans()
             start = time.perf_counter()
             HiDPStrategy().plan(graph, cluster)
             times.append(time.perf_counter() - start)

@@ -24,10 +24,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core import local_partitioner
 from repro.core.dp import ExecutorModel, pipeline_cuts_dp, scale_flops
 from repro.core.dse import DataModeDecision, DataSearchSpec, explore_data_batch
 from repro.core.local_partitioner import LocalDecision, LocalPartitioner
-from repro.core.memo import Memo, Ref
+from repro.core.memo import result_memo
 from repro.core.plans import (
     ExecutionPlan,
     LOCAL_SINGLE,
@@ -53,6 +54,27 @@ from repro.dnn.partition import (
 from repro.dnn.segment_table import SegmentTable
 from repro.platform.cluster import Cluster
 from repro.platform.device import Device
+
+# Planning results outlive the strategy that computed them: they are
+# pure functions of their keys, so every strategy with the same planning
+# inputs reads them, as the paper's middleware caches DSE results for
+# known workloads.  All three are consulted on the DSE fast path only
+# (the reference arm recomputes everything) and emptied by
+# ``clear_result_memos``.  The hatch is read through the local tier's
+# binding, ``local_partitioner.fastpath_enabled``, so these memos and
+# the local tier's shared staged searches always pick the same arm.
+
+#: One :class:`LocalPartitioner` (with its staged searches) per device
+#: hardware and local-tier parameters.
+_LOCAL_PARTITIONERS = result_memo(64)
+#: Local-tier decisions, ``(label, decision)`` by the strategy's local
+#: inputs, the device hardware, the graph and the piece.  The local tier
+#: never reads the load, so replans under a drifted load and twin boards
+#: reuse every decision (only labels are rewritten).
+_LOCAL_DECISIONS = result_memo(4096)
+#: Global plans by the strategy's planning signature, the cluster's,
+#: the leader, the exact effective load and the graph.
+_PLANS = result_memo(256)
 
 
 @dataclass(frozen=True)
@@ -198,6 +220,17 @@ class HiDPStrategy(Strategy):
         super().__init__()
         if objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}; known: {OBJECTIVES}")
+        if aggregation not in (AGGREGATE_ALL, AGGREGATE_DEFAULT):
+            raise ValueError(
+                f"unknown aggregation {aggregation!r}; "
+                f"known: {(AGGREGATE_ALL, AGGREGATE_DEFAULT)}"
+            )
+        allowed_modes = tuple(allowed_modes)
+        if not allowed_modes or not set(allowed_modes) <= {MODE_DATA, MODE_MODEL}:
+            raise ValueError(
+                f"allowed_modes must be a non-empty subset of "
+                f"{(MODE_DATA, MODE_MODEL)}, got {allowed_modes!r}"
+            )
         for field, value in (
             ("quanta", quanta),
             ("local_quanta", local_quanta),
@@ -215,25 +248,34 @@ class HiDPStrategy(Strategy):
         self.max_pipeline_segments = max_pipeline_segments
         self.max_cuts = max_cuts
         self.objective = objective
-        # Local-tier decision memo, shared across identical processors
-        # (and across planning passes: the local tier never sees the
-        # load vector, so a replan under a drifted load bucket reuses
-        # every local search verbatim).  Values are (label, decision).
-        self._local_memo = Memo(self.LOCAL_MEMO_MAX)
-        self._local_partitioners: Dict[Tuple, LocalPartitioner] = {}
+        #: Local-tier lookups of this strategy that searched (memo
+        #: misses) and that reused a decision (memo hits).
+        self.local_searches = 0
+        self.local_shared = 0
 
-    #: Bound on the shared local-decision memo.
-    LOCAL_MEMO_MAX = 4096
+    def planning_signature(self) -> Tuple:
+        """Every attribute of this strategy a plan reads, read now.
 
-    @property
-    def local_searches(self) -> int:
-        """Local-tier searches run (local memo misses)."""
-        return self._local_memo.misses
-
-    @property
-    def local_shared(self) -> int:
-        """Local-tier decisions reused from the memo (its hits)."""
-        return self._local_memo.hits
+        Class attributes (``name``, ``pinned``, ``dse_overhead_s``) may
+        be overridden on an instance or a subclass, and the class itself
+        decides which methods plan, so all of them are in the key of a
+        memoised plan.
+        """
+        return (
+            type(self),
+            self.name,
+            self.pinned,
+            self.dse_overhead_s,
+            self.quanta,
+            self.local_quanta,
+            self.aggregation,
+            self.local_data,
+            self.local_pipeline,
+            self.allowed_modes,
+            self.max_pipeline_segments,
+            self.max_cuts,
+            self.objective,
+        )
 
     # Local tier -----------------------------------------------------------
 
@@ -241,10 +283,17 @@ class HiDPStrategy(Strategy):
         """The one local partitioner of a device's hardware.
 
         A partitioner reads only its device's processors and memory
-        fabric, which the signature holds, so twin boards share one
-        (and its staged searches)."""
-        signature = device_local_signature(device)
-        partitioner = self._local_partitioners.get(signature)
+        fabric, which the signature holds, so twin boards and every
+        strategy with the same local parameters share one (and its
+        staged searches).  The reference arm builds a fresh one."""
+        shared = local_partitioner.fastpath_enabled()
+        key = (
+            device_local_signature(device),
+            self.local_quanta,
+            self.local_data,
+            self.local_pipeline,
+        )
+        partitioner = _LOCAL_PARTITIONERS.get(key) if shared else None
         if partitioner is None:
             partitioner = LocalPartitioner(
                 device,
@@ -252,7 +301,8 @@ class HiDPStrategy(Strategy):
                 enable_data=self.local_data,
                 enable_pipeline=self.local_pipeline,
             )
-            self._local_partitioners[signature] = partitioner
+            if shared:
+                _LOCAL_PARTITIONERS.put(key, partitioner)
         return partitioner
 
     def _local_single_default(
@@ -292,28 +342,38 @@ class HiDPStrategy(Strategy):
         """Local-tier decision for one piece, shared across identical
         processors.
 
-        The decision depends on the device *hardware* (processor set +
-        memory fabric), the graph and the piece -- not on the device
-        name, the cluster load or the planning pass -- so it is memoised
-        on that signature.  Twin boards share one search, and replans
-        triggered by load-bucket drift reuse every local decision from
-        the previous pass (only labels are rewritten).
+        The decision depends on the strategy's local inputs, the device
+        *hardware* (processor set + memory fabric), the graph and the
+        piece -- not on the device name, the cluster load or the
+        planning pass -- so on the fast path it is memoised on those.
+        Twin boards share one search, and replans triggered by
+        load-bucket drift reuse every local decision from the previous
+        pass (only labels are rewritten).
         """
-        memo_key = (
-            device_local_signature(device),
-            Ref(graph),
-            seg_range,
-            band,
-            segments is graph.segments(),
-        )
-        entry = self._local_memo.get(memo_key)
-        if entry is not None:
-            return relabel_decision(entry[1], entry[0], label)
-        decision = self._plan_piece_uncached(device, graph, segments, seg_range, band, label, table)
+        own_chain = segments is graph.segments()
         # Memoise only pieces of the graph's own memoised chain: for ad
         # hoc segment lists the range indices alone are ambiguous.
-        if memo_key[-1]:
-            self._local_memo.put(memo_key, (label, decision))
+        if not (own_chain and local_partitioner.fastpath_enabled()):
+            return self._plan_piece_uncached(
+                device, graph, segments, seg_range, band, label, table
+            )
+        key = (
+            self.pinned,
+            self.local_quanta,
+            self.local_data,
+            self.local_pipeline,
+            device_local_signature(device),
+            graph,
+            seg_range,
+            band,
+        )
+        entry = _LOCAL_DECISIONS.get(key)
+        if entry is not None:
+            self.local_shared += 1
+            return relabel_decision(entry[1], entry[0], label)
+        self.local_searches += 1
+        decision = self._plan_piece_uncached(device, graph, segments, seg_range, band, label, table)
+        _LOCAL_DECISIONS.put(key, (label, decision))
         return decision
 
     def _plan_piece_uncached(
@@ -546,12 +606,8 @@ class HiDPStrategy(Strategy):
         load: Optional[Mapping[str, float]] = None,
         leader: Optional[str] = None,
     ) -> ExecutionPlan:
-        devices, models = self._planning_context(cluster, load, leader=leader)
-        data_decision: Optional[DataModeDecision] = None
-        if MODE_DATA in self.allowed_modes:
-            spec = self._data_search_spec(graph, models)
-            data_decision = explore_data_batch([spec], models, quanta=self.quanta)[0]
-        return self._assemble_plan(graph, cluster, devices, models, data_decision)
+        """The plan for the exact ``load``, through :meth:`_fresh_plans`."""
+        return self._fresh_plans([graph], cluster, load, leader)[0]
 
     def plan_batch(
         self,
@@ -593,21 +649,52 @@ class HiDPStrategy(Strategy):
             else:
                 missing[key] = graph
         if missing:
-            devices, models = self._planning_context(cluster, effective, leader=leader)
-            decisions: Dict[Tuple, Optional[DataModeDecision]] = {}
-            if MODE_DATA in self.allowed_modes:
-                specs = [
-                    self._data_search_spec(graph, models) for graph in missing.values()
-                ]
-                batch = explore_data_batch(specs, models, quanta=self.quanta)
-                decisions = dict(zip(missing.keys(), batch))
-            for key, graph in missing.items():
-                plan = self._assemble_plan(
-                    graph, cluster, devices, models, decisions.get(key)
-                )
+            fresh = self._fresh_plans(list(missing.values()), cluster, effective, leader)
+            for key, plan in zip(missing, fresh):
                 self._cache_put(key, plan)
                 plans_by_key[key] = plan
         return [plans_by_key[key] for key in keys]
+
+    def _fresh_plans(
+        self,
+        graphs: Sequence[DNNGraph],
+        cluster: Cluster,
+        load: Optional[Mapping[str, float]],
+        leader: Optional[str],
+    ) -> List[ExecutionPlan]:
+        """The plans of ``graphs`` under the exact effective ``load``:
+        the one site :meth:`plan` and :meth:`plan_batch` compute through
+        when the plan cache misses.
+
+        On the fast path a plan is read from the process-lifetime plan
+        memo, keyed on everything it is computed from, so it is the
+        plan this call would compute; the graphs the memo lacks share
+        one batched data search.
+        """
+        memoised = local_partitioner.fastpath_enabled()
+        plans: List[Optional[ExecutionPlan]] = [None] * len(graphs)
+        if memoised:
+            shared = (
+                self.planning_signature(),
+                cluster.planning_signature(),
+                leader,
+                None if load is None else tuple(sorted(load.items())),
+            )
+            keys = [shared + (graph,) for graph in graphs]
+            plans = [_PLANS.get(key) for key in keys]
+        todo = [index for index, plan in enumerate(plans) if plan is None]
+        if todo:
+            devices, models = self._planning_context(cluster, load, leader=leader)
+            decisions: List[Optional[DataModeDecision]] = [None] * len(todo)
+            if MODE_DATA in self.allowed_modes:
+                specs = [self._data_search_spec(graphs[index], models) for index in todo]
+                decisions = explore_data_batch(specs, models, quanta=self.quanta)
+            for index, decision in zip(todo, decisions):
+                plan = self._assemble_plan(graphs[index], cluster, devices, models, decision)
+                plans[index] = plan
+                if memoised:
+                    _PLANS.put(keys[index], plan)
+        return plans
 
     def _assemble_plan(
         self,

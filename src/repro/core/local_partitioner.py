@@ -21,7 +21,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.dp import ExecutorModel, data_shares_dp, pipeline_cuts_dp, scale_flops
 from repro.core.dse import StagedExchangeSearch
-from repro.core.memo import Memo, Ref
+from repro.core.memo import Memo
 from repro.core.plans import (
     LOCAL_DATA,
     LOCAL_PIPELINE,
@@ -104,7 +104,8 @@ class LocalPartitioner:
             cls: sum(proc.rate(cls) for proc in self._procs) for cls in LAYER_CLASSES
         }
         self._min_dispatch_s = min(proc.dispatch_time_s for proc in self._procs)
-        # Staged searches shared across pieces, keyed (Ref(graph), hi).
+        # Staged searches shared across pieces, keyed (graph, hi): a
+        # graph compares by identity.
         self._searches = Memo(self.SEARCHES_MAX)
 
     #: Bound on the shared staged searches (one per graph and range end).
@@ -213,7 +214,7 @@ class LocalPartitioner:
         """
         if segments is not graph.segments() or table is not graph.segment_table():
             return self._staged_search(graph, segments, hi, table)
-        key = (Ref(graph), hi)
+        key = (graph, hi)
         search = self._searches.get(key)
         if search is None:
             search = self._staged_search(graph, segments, hi, table)

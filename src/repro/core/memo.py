@@ -5,10 +5,17 @@ Planning re-prices the same workloads against the same executors on
 every pass, so its results are memoised, as the paper's middleware
 caches DSE results for known workloads.  Every planning memo is a
 :class:`Memo`; a key part that must match one object, not an equal
-one, is a :class:`Ref`.  Module-level result memos come from
-:func:`result_memo`, so :func:`clear_result_memos` empties all of them
-and a cold benchmark run cannot be subsidised by a forgotten memo.
-Memos owned by a strategy or a partitioner live and die with it.
+one, is a :class:`Ref` (a ``DNNGraph`` already compares by identity
+and keys a memo by itself).  A result that is a pure function of its
+key lives in a module-level result memo from :func:`result_memo`, for
+the life of the process: DP plans and geometries, partitions, local
+partitioners, local decisions and global plans.  So
+:func:`clear_result_memos` empties all of them, and a cold benchmark
+run cannot be subsidised by a forgotten memo.  An object owns a memo
+only where its contents are not a function of the key alone (a
+strategy's plan cache keeps the first raw load to reach each load
+bucket) or belong to it (a partitioner's staged searches, which a
+result memo holds with the partitioner).
 """
 
 from __future__ import annotations
@@ -97,7 +104,8 @@ def result_memo(max_entries: int) -> Memo:
 
 def clear_result_memos() -> None:
     """Empty every registered result memo (share and pipeline plans,
-    pipeline geometries, assembled partitions).  Benchmarks call this
+    pipeline geometries, assembled partitions, local partitioners,
+    local decisions, global plans).  Benchmarks call this
     between measurements so a warmed memo from one configuration cannot
     subsidise another.  Structural caches on the immutable graph
     (segments, segment table, halo tables) stay."""

@@ -9,7 +9,9 @@ executable specification:
   :mod:`repro.dnn.partition` (the reference walks each band with
   ``DNNGraph.demand_rows``) and the shared staged local search in
   :mod:`repro.core.local_partitioner` all gate on
-  :func:`fastpath_enabled`.
+  :func:`fastpath_enabled`, and so do the process-lifetime plan,
+  local-decision and local-partitioner memos of :mod:`repro.core.hidp`
+  (the reference arm plans without them).
 - ``REPRO_SIM_FASTPATH=0`` forces the reference simulation engine:
   the seed drain loop, process bootstrap and late-callback events of
   :mod:`repro.sim.engine`.  It also turns off the two memo *stores* of
@@ -38,9 +40,10 @@ def fastpath_enabled() -> bool:
     benches can toggle at runtime).  Each function that branches on it
     reads it at its own branch: the DP dispatchers in
     :mod:`repro.core.dp`, the partition memo and band pricing in
-    :mod:`repro.dnn.partition`, and the staged-search choice in
-    :mod:`repro.core.local_partitioner`.  No planning function takes
-    the flag as an argument.
+    :mod:`repro.dnn.partition`, the staged-search choice in
+    :mod:`repro.core.local_partitioner`, and the planning memos of
+    :mod:`repro.core.hidp`.  No planning function takes the flag as an
+    argument.
     """
     return os.environ.get("REPRO_DSE_FASTPATH", "1") != "0"
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from weakref import WeakValueDictionary
 
 from repro.comm.network import WirelessNetwork
 from repro.platform.device import Device
@@ -25,6 +26,24 @@ LEADER_EXPLICIT = "explicit"
 LEADER_LEAST_LOADED = "least_loaded"
 LEADER_SHARD = "shard"
 LEADER_POLICIES = (LEADER_FIXED, LEADER_EXPLICIT, LEADER_LEAST_LOADED, LEADER_SHARD)
+
+
+class PlanningSignature:
+    """Everything a plan reads from a cluster -- its devices (with their
+    processors and memory fabric), its network and its availability
+    vector -- as one interned token.
+
+    Clusters with equal inputs share one live token (see
+    :meth:`Cluster.planning_signature`), so a memo key holding it hashes
+    and compares by identity, with no walk over the device specs.
+    """
+
+    __slots__ = ("__weakref__",)
+
+
+#: The live tokens by value.  An entry lives while a cluster or a memo
+#: key holds its token, so at most one token per value exists.
+_SIGNATURES: "WeakValueDictionary[Tuple, PlanningSignature]" = WeakValueDictionary()
 
 
 @dataclass
@@ -49,6 +68,8 @@ class Cluster:
             raise ValueError(f"duplicate device names: {names}")
         self._available: Dict[str, bool] = {device.name: True for device in self.devices}
         self._availability_signature: Optional[Tuple[Tuple[str, int], ...]] = None
+        # (devices, network, token) of the last planning_signature() call.
+        self._planning_signature: Optional[Tuple] = None
 
     # Topology -----------------------------------------------------------
 
@@ -79,6 +100,7 @@ class Cluster:
             raise KeyError(f"no device named {device_name!r}")
         self._available[device_name] = available
         self._availability_signature = None
+        self._planning_signature = None
 
     def is_available(self, device_name: str) -> bool:
         return self._available[device_name]
@@ -98,6 +120,24 @@ class Cluster:
         if signature is None:
             signature = tuple(sorted(self.availability_vector().items()))
             self._availability_signature = signature
+        return signature
+
+    def planning_signature(self) -> PlanningSignature:
+        """The interned value of this cluster's planning inputs.
+
+        Equal devices, network and availability give the same token, so
+        a plan memoised for one cluster serves an equal cluster built
+        later.  Cached, and invalidated by :meth:`set_available` or by
+        assigning ``devices`` or ``network``.
+        """
+        cached = self._planning_signature
+        if cached is not None and cached[0] is self.devices and cached[1] is self.network:
+            return cached[2]
+        value = (self.devices, self.network, self.availability_signature())
+        signature = _SIGNATURES.get(value)
+        if signature is None:
+            signature = _SIGNATURES[value] = PlanningSignature()
+        self._planning_signature = (self.devices, self.network, signature)
         return signature
 
     def available_devices(self) -> Tuple[Device, ...]:

@@ -12,6 +12,7 @@ from repro.core.hidp import (
     relabel_decision,
 )
 from repro.core.local_partitioner import LocalDecision
+from repro.core.memo import clear_result_memos
 from repro.core.plans import LOCAL_STAGED, LocalExec, UnitTask
 from repro.core.strategy import device_executor_models
 from repro.dnn.models import MODEL_NAMES, build_model
@@ -127,7 +128,9 @@ class TestLocalDecisionSharing:
         assert device_local_signature(nano) == device_local_signature(twin)
         assert device_local_signature(nano) != device_local_signature(other)
 
-    def test_twin_boards_share_local_searches(self):
+    def test_twin_boards_share_local_searches(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DSE_FASTPATH", "1")  # the memo is fast-path only
+        clear_result_memos()  # so the first board searches
         nano = build_device("jetson_nano")
         twin = dataclasses.replace(nano, name="jetson_nano_b")
         strategy = HiDPStrategy()
@@ -144,7 +147,8 @@ class TestLocalDecisionSharing:
         assert decision_b.predicted_s == decision_a.predicted_s
         assert decision_b.execution.mode == decision_a.execution.mode
 
-    def test_replans_share_local_decisions(self, shared_cluster):
+    def test_replans_share_local_decisions(self, shared_cluster, monkeypatch):
+        monkeypatch.setenv("REPRO_DSE_FASTPATH", "1")  # the memo is fast-path only
         strategy = HiDPStrategy()
         graph = build_model("resnet152")
         strategy.plan(graph, shared_cluster, load={d.name: 0.0 for d in shared_cluster.devices})

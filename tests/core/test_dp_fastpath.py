@@ -396,6 +396,9 @@ class TestHatchReads:
         "make_data_partition_from_shares",
         "_make_data_partition_from_shares",
         "_staged",
+        "_local_partitioner",
+        "_plan_piece",
+        "_fresh_plans",
     }
 
     def test_each_branch_reads_the_hatch_itself(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.hidp import HiDPStrategy
+from repro.core.memo import clear_result_memos
 from repro.core.plans import MODE_DATA, MODE_LOCAL, MODE_MODEL
 from repro.core.strategy import AGGREGATE_DEFAULT
 from repro.dnn.models import MODEL_NAMES, build_model
@@ -106,7 +107,13 @@ class TestCaching:
         graph = build_model("vgg19")
         first = strategy.plan(graph, cluster)
         strategy.clear_cache()
-        assert strategy.plan(graph, cluster) is not first
+        assert strategy.uncached_plans([graph], cluster) == 1
+        # The process-lifetime plan memo outlives the strategy's cache;
+        # emptied too, the plan is computed again, equal to the first.
+        clear_result_memos()
+        again = strategy.plan(graph, cluster)
+        assert again is not first
+        assert again == first
 
 
 class TestLoadAwareness:
@@ -155,6 +162,19 @@ class TestParameterValidation:
     def test_counts_below_one_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
             HiDPStrategy(**{field: value})
+
+    @pytest.mark.parametrize("modes", [("nope",), (), (MODE_DATA, MODE_LOCAL)])
+    def test_bad_allowed_modes_rejected_at_construction(self, modes):
+        with pytest.raises(ValueError, match="allowed_modes"):
+            HiDPStrategy(allowed_modes=modes)
+
+    def test_bad_aggregation_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="aggregation"):
+            HiDPStrategy(aggregation="bogus")
+
+    def test_allowed_modes_stored_as_a_tuple(self):
+        strategy = HiDPStrategy(allowed_modes=[MODE_MODEL])
+        assert strategy.allowed_modes == (MODE_MODEL,)
 
     def test_minimal_counts_plan(self, cluster):
         strategy = HiDPStrategy(quanta=1, local_quanta=1, max_cuts=1, max_pipeline_segments=1)

@@ -18,7 +18,6 @@ from repro.core.dp import _executor_signature
 from repro.core.dse import StagedExchangeSearch, explore_data_exchange
 from repro.core.hidp import HiDPStrategy
 from repro.core.local_partitioner import LocalPartitioner, processor_executor_models
-from repro.core.memo import Ref
 from repro.dnn.models import build_model
 from repro.platform.cluster import build_cluster
 from repro.platform.specs import DEVICE_NAMES, build_device
@@ -139,13 +138,13 @@ class TestStagedSearchSharing:
         segments, table = graph.segments(), graph.segment_table()
         hi = len(segments) - 1
         partitioner._staged(graph, segments, (0, hi), "first", table)
-        search = partitioner._searches.get((Ref(graph), hi))
+        search = partitioner._searches.get((graph, hi))
         computed = dict(search._decisions)
         assert computed
         # A later piece ending at hi reads the same map ...
         start = max(computed)
         partitioner._staged(graph, segments, (start, hi), "second", table)
-        assert partitioner._searches.get((Ref(graph), hi)) is search
+        assert partitioner._searches.get((graph, hi)) is search
         # ... and every reused decision equals a freshly computed one.
         for start, decision in computed.items():
             assert search.decide(start) is decision
@@ -213,7 +212,7 @@ class TestStagedSearchSharing:
         partitioner = LocalPartitioner(build_device("jetson_orin_nx"))
         for hi in range(10, 20):
             partitioner._shared_search(graph, graph.segments(), hi, graph.segment_table())
-        kept = [hi for hi in range(10, 20) if (Ref(graph), hi) in partitioner._searches]
+        kept = [hi for hi in range(10, 20) if (graph, hi) in partitioner._searches]
         assert kept == [17, 18, 19]
         assert partitioner._searches.evictions == 7
 
