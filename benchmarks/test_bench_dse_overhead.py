@@ -7,16 +7,21 @@ stays in the tens of milliseconds on commodity hardware.
 
 The second bench is the fast-path regression gate: it times HiDP
 planning per model x cluster size with the vectorized DSE fast path on
-(warm plan-level caches, the steady-state a serving middleware sees)
-against the pure-Python reference kernels on cold graphs (the seed
-behaviour), writes the ``BENCH_dse.json`` artifact at the repo root so
-future PRs can track the perf trajectory, and asserts the fast path is
-at least 5x faster for HiDP on the ResNet-scale graph with a 4-device
-cluster.  Plan equality between the two paths is enforced separately by
-``tests/core/test_dp_fastpath.py``.
+(warm graph caches, pipeline geometries and partitions, the
+steady-state a serving middleware sees) against the pure-Python
+reference kernels on cold graphs (the seed behaviour), writes the
+``BENCH_dse.json`` artifact at the repo root so future PRs can track
+the perf trajectory, and asserts the fast path is at least 5x faster
+for HiDP on the ResNet-scale graph with a 4-device cluster.  Plan
+equality between the two paths is enforced separately by
+``tests/core/test_dp_fastpath.py``.  The share and pipeline DPs keep
+no result memo, so every timed plan runs every DP call: an exact
+repeat of one plan, which these warm rows time, is the only pattern
+such a memo ever served (under 5% of its lookups hit on the serving
+workloads).
 
 The same artifact records a cold load sweep: each model planned under
-``SWEEP_LOADS`` distinct load vectors, DP memos cleared and a fresh
+``SWEEP_LOADS`` distinct load vectors, result memos cleared and a fresh
 strategy at the start of each sweep, on both paths in one process --
 the replan-under-churn pattern the load-invariant pipeline geometry
 memo serves.  The sweep asserts both paths plan identically and
@@ -51,7 +56,7 @@ SWEEP_REPEATS = 3
 def forget_plans():
     """Empty the process-lifetime plan, local-decision and local
     partitioner memos, so the next plan runs the whole global and local
-    search; the DP memos stay warm."""
+    search; the pipeline-geometry and partition memos stay warm."""
     for memo in (hidp._PLANS, hidp._LOCAL_DECISIONS, hidp._LOCAL_PARTITIONERS):
         memo.clear()
 
@@ -100,9 +105,10 @@ def _time_reference_cold(model, cluster, repeats=3):
 
 
 def _time_fastpath_warm(model, cluster, repeats=5):
-    """Fast path in steady state: shared graph and warm DP memos, fresh
-    strategy per plan.  The plan and local-tier memos are emptied before
-    each timed plan, which would otherwise time a memo lookup."""
+    """Fast path in steady state: shared graph, warm pipeline-geometry
+    and partition memos, fresh strategy per plan.  The plan and
+    local-tier memos are emptied before each timed plan, which would
+    otherwise time a memo lookup."""
     times = []
     with _fastpath_env("1"):
         graph = build_model(model, fresh=True)
@@ -207,7 +213,7 @@ def test_bench_dse_fastpath_regression_gate():
         "cold_load_sweep": {
             "description": (
                 "Same process: each model planned under distinct load vectors "
-                "with DP memos cleared and a fresh strategy per sweep, "
+                "with result memos cleared and a fresh strategy per sweep, "
                 "REPRO_DSE_FASTPATH=0 (old) vs the fast path (new); best of "
                 f"{SWEEP_REPEATS} sweeps; plans asserted equal; no gate."
             ),

@@ -135,7 +135,8 @@ def _backlog_graphs():
 
 def forget_plans():
     """Empty the process-lifetime plan, local-decision and local
-    partitioner memos; the DP memos stay warm."""
+    partitioner memos; the pipeline-geometry and partition memos stay
+    warm."""
     for memo in (hidp._PLANS, hidp._LOCAL_DECISIONS, hidp._LOCAL_PARTITIONERS):
         memo.clear()
 
@@ -143,7 +144,8 @@ def forget_plans():
 def _time_sequential(graphs, cluster, repeats=REPEATS):
     """Naive per-request planning: one fresh planner pass per request.
     The plan and local-tier memos are emptied before each request, so a
-    repeated model is searched again, on warm DP memos."""
+    repeated model is searched again, on warm pipeline-geometry and
+    partition memos."""
     times = []
     for _ in range(repeats):
         clear_result_memos()

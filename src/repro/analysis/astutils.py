@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple, Union
+from typing import Iterator, List, Optional, Set, Union
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 FUNCTION_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -26,24 +26,6 @@ def call_name(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Call):
         return dotted_name(node.func)
     return None
-
-
-def walk_functions(
-    tree: ast.AST,
-) -> Iterator[Tuple[FunctionNode, Optional[ast.ClassDef]]]:
-    """Every function/method in ``tree`` with its immediate class (or None)."""
-
-    def visit(node: ast.AST, cls: Optional[ast.ClassDef]) -> Iterator:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, FUNCTION_TYPES):
-                yield child, cls
-                yield from visit(child, None)
-            elif isinstance(child, ast.ClassDef):
-                yield from visit(child, child)
-            else:
-                yield from visit(child, cls)
-
-    yield from visit(tree, None)
 
 
 def own_statements(func: FunctionNode) -> Iterator[ast.AST]:

@@ -26,9 +26,10 @@ tie-breaking exactly, so plans are byte-identical; randomized
 equivalence tests in ``tests/core/test_dp_fastpath.py`` enforce this.
 Set ``REPRO_DSE_FASTPATH=0`` to force the reference implementations;
 each dispatcher reads the hatch itself, per call.  The fast path keeps
-its results in process-lifetime :class:`~repro.core.memo.Memo` tables
-(share plans by value, pipeline plans and geometries by chain
-identity), which :func:`clear_result_memos` empties.
+one process-lifetime :class:`~repro.core.memo.Memo`, the load-invariant
+pipeline geometry per chain identity, which :func:`clear_result_memos`
+empties; the plans themselves are recomputed per call, since the load
+moves every executor's ``fixed_s`` and an exact repeat is rare.
 """
 
 from __future__ import annotations
@@ -141,24 +142,6 @@ def _no_inflation(share: float) -> float:
     return 1.0
 
 
-def _executor_signature(executors: Sequence[ExecutorModel]) -> Tuple:
-    """Hashable value identity of an executor list.
-
-    Executor models are rebuilt from the cluster on every planning
-    pass, so result memos key on their field values rather than object
-    identity."""
-    return tuple(
-        (
-            executor.ident,
-            tuple(executor.rates.items()),
-            executor.comm_bytes_s,
-            executor.fixed_s,
-            executor.dispatch_s,
-        )
-        for executor in executors
-    )
-
-
 def _compute_signature(executors: Sequence[ExecutorModel]) -> Tuple:
     """Hashable identity of what an executor list's compute times depend
     on: each executor's rates and dispatch time -- not its fixed or
@@ -202,12 +185,9 @@ def data_shares_dp(
     Dispatches to the vectorized kernel (one numpy pass for the whole
     ``finish_time[executor, units]`` matrix plus batched DP sweeps)
     unless :func:`fastpath_enabled` is off; results are byte-identical.
-    On the fast path, results are additionally memoised by value (the
-    DSE re-prices identical workloads against identical executors every
-    planning pass); plans are immutable, so sharing them is safe.
     """
     if fastpath_enabled():
-        return data_shares_dp_batch(
+        return _data_shares_dp_numpy_batch(
             ((flops_by_class, input_bytes, num_ops),), executors, quanta, inflation
         )[0]
     return data_shares_dp_reference(
@@ -283,9 +263,7 @@ def data_shares_dp_batch(
     cut of one DSE pass.  The DP tables of all items roll backwards
     together, so the numpy call overhead is paid once per executor
     instead of once per (item, executor).  Results are byte-identical
-    to per-item :func:`data_shares_dp` calls, and memoised by value on
-    the fast path (default inflation only -- callback identity is not
-    a stable cache key).
+    to per-item :func:`data_shares_dp` calls.
     """
     if not items:
         return []
@@ -294,29 +272,7 @@ def data_shares_dp_batch(
             data_shares_dp_reference(flops, in_bytes, executors, quanta, num_ops, inflation)
             for flops, in_bytes, num_ops in items
         ]
-    if inflation is not _no_inflation:
-        return _data_shares_dp_numpy_batch(items, executors, quanta, inflation)
-    signature = (_executor_signature(executors), quanta)
-    plans: List[Optional[SharePlan]] = []
-    misses: List[Tuple[int, Tuple]] = []
-    for idx, (flops, in_bytes, num_ops) in enumerate(items):
-        key = (tuple(flops.items()), in_bytes, num_ops, signature)
-        plan = _SHARES_RESULTS.get(key)
-        plans.append(plan)
-        if plan is None:
-            misses.append((idx, key))
-    if misses:
-        fresh = _data_shares_dp_numpy_batch(
-            [items[idx] for idx, _ in misses], executors, quanta, inflation
-        )
-        for (idx, key), plan in zip(misses, fresh):
-            plans[idx] = plan
-            _SHARES_RESULTS.put(key, plan)
-    return plans
-
-
-#: Value-keyed memo of share plans (fast path, default inflation only).
-_SHARES_RESULTS = result_memo(8192)
+    return _data_shares_dp_numpy_batch(items, executors, quanta, inflation)
 
 
 #: Per-quanta cache of the (r, q) index geometry shared by every sweep.
@@ -334,19 +290,6 @@ def _shares_geometry(quanta: int) -> Tuple:
         geometry = (r_idx, rel, shares_vec)
         _SHARES_GEOMETRY[quanta] = geometry
     return geometry
-
-
-def _data_shares_dp_numpy(
-    flops_by_class: Mapping[str, int],
-    input_bytes: int,
-    executors: Sequence[ExecutorModel],
-    quanta: int,
-    num_ops: int,
-    inflation: Callable[[float], float],
-) -> SharePlan:
-    return _data_shares_dp_numpy_batch(
-        ((flops_by_class, input_bytes, num_ops),), executors, quanta, inflation
-    )[0]
 
 
 def _data_shares_dp_numpy_batch(
@@ -512,39 +455,14 @@ def pipeline_cuts_dp(
       ``fixed_s``/comm terms, solves the table by whole-table
       relaxation rounds to its exact fixed point (:func:`_relax_cuts`)
       and reads parents along the chosen path only.
-
-    On the fast path, plans are also memoised per (segment sequence
-    identity, executor values): the same memoised chains and the same
-    cluster views recur every planning pass, and plans are immutable.
     """
     if not fastpath_enabled():
         return pipeline_cuts_dp_reference(
             segments, executors, source_executor, return_bytes_weight, max_segments
         )
-    # Memoise only immutable (tuple) chains: an identity key cannot
-    # detect in-place mutation of a list between calls.
-    if not isinstance(segments, tuple):
-        return _pipeline_cuts_dp_numpy(
-            segments, executors, source_executor, return_bytes_weight, max_segments
-        )
-    key = (
-        Ref(segments),
-        _executor_signature(executors),
-        source_executor,
-        return_bytes_weight,
-        max_segments,
+    return _pipeline_cuts_dp_numpy(
+        segments, executors, source_executor, return_bytes_weight, max_segments
     )
-    plan = _PIPELINE_RESULTS.get(key)
-    if plan is None:
-        plan = _pipeline_cuts_dp_numpy(
-            segments, executors, source_executor, return_bytes_weight, max_segments
-        )
-        _PIPELINE_RESULTS.put(key, plan)
-    return plan
-
-
-#: Identity+value-keyed memo of pipeline plans (fast path only).
-_PIPELINE_RESULTS = result_memo(256)
 
 
 def pipeline_cuts_dp_reference(
@@ -798,8 +716,8 @@ def _pipeline_geometry(
     It depends on the chain and on each executor's rates and dispatch
     time, not on ``fixed_s`` or ``comm_bytes_s`` -- the terms a load
     snapshot or the choice of source changes -- so replans under a new
-    load reuse it.  Memoised for tuple chains, keyed by chain identity
-    (like the plans); the tensors are read-only.
+    load reuse it.  Memoised for tuple chains, keyed by chain identity;
+    the tensors are read-only.
     """
     if not isinstance(segments, tuple):
         return _build_pipeline_geometry(segments, executors, max_segments)

@@ -8,7 +8,7 @@ caches DSE results for known workloads.  Every planning memo is a
 one, is a :class:`Ref` (a ``DNNGraph`` already compares by identity
 and keys a memo by itself).  A result that is a pure function of its
 key lives in a module-level result memo from :func:`result_memo`, for
-the life of the process: DP plans and geometries, partitions, local
+the life of the process: pipeline geometries, partitions, local
 partitioners, local decisions and global plans.  So
 :func:`clear_result_memos` empties all of them, and a cold benchmark
 run cannot be subsidised by a forgotten memo.  An object owns a memo
@@ -103,9 +103,9 @@ def result_memo(max_entries: int) -> Memo:
 
 
 def clear_result_memos() -> None:
-    """Empty every registered result memo (share and pipeline plans,
-    pipeline geometries, assembled partitions, local partitioners,
-    local decisions, global plans).  Benchmarks call this
+    """Empty every registered result memo (pipeline geometries,
+    assembled partitions, local partitioners, local decisions, global
+    plans).  Benchmarks call this
     between measurements so a warmed memo from one configuration cannot
     subsidise another.  Structural caches on the immutable graph
     (segments, segment table, halo tables) stay."""

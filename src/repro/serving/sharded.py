@@ -92,14 +92,16 @@ dispatcher to it on priority-free streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
+from numbers import Integral, Real
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.executor import PlanExecutor
 from repro.core.hidp import HiDPStrategy
 from repro.core.strategy import Strategy
 from repro.dnn.graph import DNNGraph
-from repro.dnn.models import build_model
+from repro.dnn.models import available_models, build_model
 from repro.faults import (
     DEGRADE_NONE,
     DEGRADE_SHED,
@@ -145,6 +147,22 @@ LEADERS_SHARED = "shared"
 LEADERS_DISTRIBUTED = "distributed"
 LEADERS_EPOCH = "epoch"
 LEADER_MODES = (LEADERS_SHARED, LEADERS_DISTRIBUTED, LEADERS_EPOCH)
+
+
+def _check_count(field: str, value) -> None:
+    """Reject a count that is not a positive integer."""
+    if not isinstance(value, Integral):
+        raise TypeError(f"{field} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{field} must be positive, got {value}")
+
+
+def _check_seconds(field: str, value) -> None:
+    """Reject a duration that is not a finite, non-negative number."""
+    if not isinstance(value, Real):
+        raise TypeError(f"{field} must be a number of seconds, got {value!r}")
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{field} must be finite and >= 0, got {value}")
 
 
 class AccountingError(RuntimeError):
@@ -202,12 +220,10 @@ class ShardedScheduler:
         epoch_s: float = 0.0,
         control: Optional[ControlPolicy] = None,
     ):
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be positive, got {num_shards}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be positive, got {max_batch}")
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be positive, got {max_inflight}")
+        _check_count("num_shards", num_shards)
+        _check_count("max_batch", max_batch)
+        _check_count("max_inflight", max_inflight)
+        _check_count("steal_threshold", steal_threshold)
         if assignment not in ASSIGNMENTS:
             raise ValueError(f"unknown assignment {assignment!r}; known: {ASSIGNMENTS}")
         if load_view not in LOAD_VIEWS:
@@ -218,16 +234,13 @@ class ShardedScheduler:
                     f"unknown planning overhead mode {planning_overhead!r}; "
                     f"known: {PLANNING_OFF!r}, {PLANNING_BUCKET!r} or seconds"
                 )
-        elif not planning_overhead >= 0:
-            raise ValueError(f"negative planning overhead: {planning_overhead}")
-        if steal_threshold < 1:
-            raise ValueError(f"steal_threshold must be positive, got {steal_threshold}")
+        else:
+            _check_seconds("planning_overhead", planning_overhead)
         if leader_policy not in LEADER_MODES:
             raise ValueError(
                 f"unknown leader policy {leader_policy!r}; known: {LEADER_MODES}"
             )
-        if epoch_s < 0:
-            raise ValueError(f"negative epoch length: {epoch_s}")
+        _check_seconds("epoch_s", epoch_s)
         if leader_policy == LEADERS_EPOCH and epoch_s <= 0:
             raise ValueError("leader_policy='epoch' needs a positive epoch_s")
         self.cluster = cluster if cluster is not None else build_cluster()
@@ -319,12 +332,19 @@ class ShardedScheduler:
         if not requests:
             raise ValueError("no requests to serve")
         # Every per-request ledger (attempts, failures, segments, shed
-        # and rejected ids) keys on the id, so ids must be unique.
+        # and rejected ids) keys on the id, so ids must be unique; and a
+        # model the zoo cannot build must fail here, not in a dispatcher.
         seen = set()
+        models = frozenset(available_models())
         for request in requests:
             if request.request_id in seen:
                 raise ValueError(f"duplicate request_id {request.request_id}")
             seen.add(request.request_id)
+            if request.model not in models:
+                raise ValueError(
+                    f"request {request.request_id}: unknown model {request.model!r}; "
+                    f"known: {sorted(models)}"
+                )
         ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
         runtime = SimRuntime(self.cluster, trace_level=self.trace_level)
         leaders = self.shard_leaders()

@@ -14,7 +14,6 @@ import random
 import pytest
 
 import repro.core.dse as dse
-from repro.core.dp import _executor_signature
 from repro.core.dse import StagedExchangeSearch, explore_data_exchange
 from repro.core.hidp import HiDPStrategy
 from repro.core.local_partitioner import LocalPartitioner, processor_executor_models
@@ -49,12 +48,13 @@ def _explore(partitioner, graph, start, hi):
 @pytest.fixture
 def count_explorations(monkeypatch):
     """Record every ``explore_data_exchange`` call a search makes, as
-    (executor values, seg_range)."""
+    (executor values, seg_range); the reprs of the frozen executor
+    models stand for their values."""
     calls = []
     original = dse.explore_data_exchange
 
     def counting(graph, segments, seg_range, executors, **kwargs):
-        calls.append((_executor_signature(executors), seg_range))
+        calls.append((tuple(map(repr, executors)), seg_range))
         return original(graph, segments, seg_range, executors, **kwargs)
 
     monkeypatch.setattr(dse, "explore_data_exchange", counting)

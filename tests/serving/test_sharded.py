@@ -488,6 +488,28 @@ class TestLedger:
             ShardedScheduler(cluster=_small_cluster()).run(requests)
 
     @pytest.mark.parametrize(
+        "kwargs, models, error, field",
+        [
+            ({"planning_overhead": float("inf")}, ("tiny_cnn",), ValueError, "planning_overhead"),
+            ({"planning_overhead": float("nan")}, ("tiny_cnn",), ValueError, "planning_overhead"),
+            ({"num_shards": 2.5}, ("tiny_cnn",), TypeError, "num_shards"),
+            ({"max_batch": 4.0}, ("tiny_cnn",), TypeError, "max_batch"),
+            ({"max_inflight": 1.5}, ("tiny_cnn",), TypeError, "max_inflight"),
+            ({"steal_threshold": float("nan")}, ("tiny_cnn",), TypeError, "steal_threshold"),
+            ({"epoch_s": float("nan")}, ("tiny_cnn",), ValueError, "epoch_s"),
+            ({"epoch_s": float("inf")}, ("tiny_cnn",), ValueError, "epoch_s"),
+            ({}, ("nope",), ValueError, "unknown model 'nope'"),
+        ],
+    )
+    def test_malformed_input_rejected_at_the_door(self, kwargs, models, error, field):
+        """Malformed settings fail at construction and unknown models
+        at ``run``'s entry, naming what is wrong, never later inside a
+        dispatcher process."""
+        requests = poisson_stream(models, 1.0, 3)
+        with pytest.raises(error, match=field):
+            ShardedScheduler(cluster=_small_cluster(), **kwargs).run(requests)
+
+    @pytest.mark.parametrize(
         "counter, message",
         [("dispatched_by_shard", "shard 0 dispatched"), ("retries", "failures")],
     )
